@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import experiments, oracle, randgraph
 from .coloring import Composition
-from .graph import EdgeListError, graph_from_spec, load_edge_list
+from .graph import EdgeListError, graph_from_spec, load_edge_list, write_text
 from .moments import full_report, rat_json
 from .oracle import BudgetExceededError
 
@@ -34,12 +34,8 @@ def _graph_arg(text: str):
 
 
 def _classes_arg(text: str, n: int) -> Composition:
-    text = text.strip()
-    if text.lower().startswith("balanced"):
-        _, sep, s = text.partition(":")
-        if not sep:
-            raise ValueError("balanced classes need a count, e.g. balanced:2")
-        return Composition.balanced(n, int(s))
+    if text.strip().lower().startswith("balanced"):
+        return experiments.parse_coloring_rule(text)(n)
     sizes = tuple(int(tok) for tok in text.split(","))
     if sum(sizes) != n:
         raise ValueError(f"class sizes {sizes} sum to {sum(sizes)}, graph has n={n}")
@@ -50,19 +46,11 @@ def _grid_arg(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(","))
 
 
-def _write_out(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _cmd_moments(args) -> int:
     g = _graph_arg(args.graph)
     c = _classes_arg(args.classes, g.n)
     report = full_report(g, c)
-    _write_out(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
+    write_text(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
     return 0
 
 
@@ -85,7 +73,7 @@ def _cmd_simulate(args) -> int:
     g = _graph_arg(args.graph)
     c = _classes_arg(args.classes, g.n)
     record = experiments.run_comparison(g, c, trials=args.trials, seed=args.seed)
-    _write_out(json.dumps(record.to_json_dict(), indent=2) + "\n", args.out)
+    write_text(json.dumps(record.to_json_dict(), indent=2) + "\n", args.out)
     ok = record.mean_ok and record.var_ok
     if not ok:
         print("empirical moments fell outside the 4-SE band", file=sys.stderr)
@@ -162,7 +150,7 @@ def _cmd_rdcheck(args) -> int:
         exp = "n/a" if check.exponent is None else f"{check.exponent:.3f}"
         print(f"size-variance check: exponent={exp} holds={check.holds}")
     if args.out is not None:
-        _write_out(json.dumps(payload, indent=2) + "\n", args.out)
+        write_text(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
 
@@ -199,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("regime", help="sweep a family over an n-grid")
-    p.add_argument("--family", required=True, help="star|cycle|path|complete|circulant:d=K or model spec")
+    p.add_argument("--family", required=True, help="graph spec with n from --grid (star, circulant:d=4, ...) or model spec")
     p.add_argument("--classes", required=True, help="ratio list like 3/4,1/4 or balanced:s")
     p.add_argument("--grid", required=True, help="comma-separated n values")
     p.add_argument("--trials", type=int, default=0, help="colorings per point (0: exact only)")

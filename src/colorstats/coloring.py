@@ -120,7 +120,7 @@ def sample_batch(c: Composition, trials: int, rng: np.random.Generator) -> np.nd
     """(trials, n) array of independent uniform colorings, one per row."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    dtype = np.int16 if c.s > 127 else np.int8
+    dtype = np.int8 if c.s <= 127 else np.int16 if c.s <= 32767 else np.int32
     base = np.repeat(np.arange(1, c.s + 1, dtype=dtype), c.classes)
     mat = np.tile(base, (trials, 1))
     rng.permuted(mat, axis=1, out=mat)
@@ -135,13 +135,20 @@ def count(g: Graph, colors: ColorAssignment, s: int | None = None) -> EdgeCounts
     """
     if s is None:
         s = max(colors, default=0)
+    per = _per_color_counts(g.edges, colors, s)
+    mono = sum(per)
+    return EdgeCounts(per_color=tuple(per), mono=mono, bi=g.m - mono)
+
+
+def _per_color_counts(edges, colors: ColorAssignment, s: int) -> list[int]:
+    """Monochromatic edges per color 1..s under one coloring; the loop shared
+    by count() and the oracle's enumeration."""
     per = [0] * s
-    for u, v in g.edges:
+    for u, v in edges:
         cu = colors[u]
         if cu == colors[v]:
             per[cu - 1] += 1
-    mono = sum(per)
-    return EdgeCounts(per_color=tuple(per), mono=mono, bi=g.m - mono)
+    return per
 
 
 def count_batch(g: Graph, colors: np.ndarray, chunk: int = 4096) -> np.ndarray:

@@ -25,9 +25,9 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from .coloring import Composition, count_batch, sample_batch
-from .graph import Graph, complete, cycle, path, regular_circulant, star
+from .graph import Graph, graph_template, write_text
 from .moments import full_report, pz_lower_bound, rat_json
-from .randgraph import ModelSpec, generate, parse_model_template
+from .randgraph import MODEL_PARAMS, ModelSpec, fit_power_law, generate, parse_model_template
 from .seeds import stream
 
 # Regime thresholds: the dispersion ratio is treated as order-one when it
@@ -37,15 +37,6 @@ from .seeds import stream
 # statements; the CLI exposes flags to override them.
 ZETA_THRESHOLD = 0.2
 IMBALANCE_THRESHOLD = 1e-3
-
-_MODEL_KINDS = ("gnp", "config", "geo", "cl", "starlike")
-
-_DETERMINISTIC = {
-    "star": star,
-    "cycle": cycle,
-    "path": path,
-    "complete": complete,
-}
 
 
 def parse_coloring_rule(text: str) -> Callable[[int], Composition]:
@@ -65,9 +56,9 @@ def parse_coloring_rule(text: str) -> Callable[[int], Composition]:
 class FamilySpec:
     """A graph family, a coloring rule, and the n-grid to sweep.
 
-    graph is either a deterministic family ("star", "cycle", "path",
-    "complete", "circulant:d=4") or a random model template understood by
-    randgraph.parse_model_template.
+    graph is either a deterministic family understood by
+    graph.graph_template ("star", "circulant:d=4", ...) or a random model
+    template understood by randgraph.parse_model_template.
     """
 
     graph: str
@@ -83,17 +74,10 @@ class FamilySpec:
     @property
     def is_random(self) -> bool:
         kind = self.graph.partition(":")[0].strip().lower()
-        return kind in _MODEL_KINDS
+        return kind in MODEL_PARAMS
 
     def graph_for(self, n: int) -> Graph:
-        name, _, rest = self.graph.partition(":")
-        name = name.strip().lower()
-        if name in _DETERMINISTIC:
-            return _DETERMINISTIC[name](n)
-        if name == "circulant":
-            params = dict(kv.split("=") for kv in rest.split(","))
-            return regular_circulant(n, int(params["d"]))
-        raise ValueError(f"unknown deterministic family {self.graph!r}")
+        return graph_template(self.graph)(n)
 
     def model_for(self, n: int) -> ModelSpec:
         return parse_model_template(self.graph)(n)
@@ -133,11 +117,7 @@ def _empirical_random(
         g = generate(model, rng)
         colors = base.copy()
         rng.shuffle(colors)
-        if g.m == 0:
-            ms[t] = 0.0
-            continue
-        e = np.asarray(g.edges, dtype=np.intp)
-        ms[t] = (colors[e[:, 0]] == colors[e[:, 1]]).sum()
+        ms[t] = count_batch(g, colors[None, :])[0]
     return float(ms.mean()), float(ms.var(ddof=1))
 
 
@@ -178,10 +158,7 @@ def _classify(
     vals = [float(z) for z in zetas]
     flat = float(zetas[-1]) > zeta_threshold
     if flat and len(grid) >= 2 and all(v > 0 for v in vals):
-        slope = float(
-            np.polyfit(np.log(np.asarray(grid, dtype=float)), np.log(vals), 1)[0]
-        )
-        flat = slope > -0.1
+        flat = fit_power_law(grid, vals) > -0.1
     persistent = all(float(b) > imbalance_threshold for b in imbalances)
     return "anti_concentration" if (flat and persistent) else "concentration"
 
@@ -381,11 +358,7 @@ def emit(rows: Sequence[RegimeRow], fmt: str, path_or_file) -> None:
         text = buf.getvalue()
     else:
         raise ValueError(f"format must be json or csv, got {fmt!r}")
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-    else:
-        with open(path_or_file, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    write_text(text, path_or_file)
 
 
 def parse_rows_json(text: str) -> list[RegimeRow]:

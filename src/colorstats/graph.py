@@ -8,11 +8,11 @@ formulas consume.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 
 class EdgeListError(ValueError):
@@ -183,34 +183,65 @@ _FAMILIES = {
 }
 
 
-def graph_from_spec(spec: str) -> Graph:
-    """Build a named graph from a compact string.
-
-    Accepted forms: "star:8", "cycle:12", "path:5", "complete:6",
-    "circulant:n=10,d=4", "threshold:IDID".
-    """
-    name, sep, rest = spec.partition(":")
-    name = name.strip().lower()
-    if name in _FAMILIES:
-        if not sep:
-            raise ValueError(f"{name} spec needs a vertex count, e.g. {name}:8")
-        return _FAMILIES[name](int(rest))
-    if name == "circulant":
-        params = _parse_kv(rest)
-        return regular_circulant(int(params["n"]), int(params["d"]))
-    if name == "threshold":
-        return threshold_graph(rest)
-    raise ValueError(f"unknown graph family {name!r}")
-
-
-def _parse_kv(rest: str) -> dict[str, str]:
-    out = {}
+def parse_params(rest: str) -> dict[str, str]:
+    """key=value pairs split on commas; a fragment without '=' continues the
+    previous value (degree laws contain commas of their own)."""
+    out: dict[str, str] = {}
+    last = None
     for part in rest.split(","):
-        key, sep, val = part.partition("=")
-        if not sep:
+        if "=" in part:
+            key, _, val = part.partition("=")
+            key = key.strip()
+            out[key] = val.strip()
+            last = key
+        elif last is not None:
+            out[last] += "," + part.strip()
+        else:
             raise ValueError(f"expected key=value, got {part!r}")
-        out[key.strip()] = val.strip()
     return out
+
+
+def graph_template(spec: str) -> Callable[[int | None], Graph]:
+    """Graph family from a compact string; n is supplied at call time.
+
+    Forms: "star:8", "cycle:12", "path:5", "complete:6", "circulant:n=10,d=4",
+    "threshold:IDID".  An n given in the string is the default and a grid n
+    overrides it, so "star" and "circulant:d=4" are grid-only families.  A
+    threshold graph fixes its own order and takes no grid n.
+    """
+    name, _, rest = spec.partition(":")
+    name = name.strip().lower()
+    default_n = None
+    if name in _FAMILIES:
+        if rest.strip():
+            default_n = int(rest)
+    elif name == "circulant":
+        params = parse_params(rest)
+        if "d" not in params:
+            raise ValueError("circulant spec needs a degree, e.g. circulant:n=10,d=4")
+        d = int(params["d"])
+        if "n" in params:
+            default_n = int(params["n"])
+    elif name != "threshold":
+        raise ValueError(f"unknown deterministic family {name!r}")
+
+    def at(n: int | None) -> Graph:
+        if name == "threshold":
+            if n is not None:
+                raise ValueError(f"threshold spec {spec!r} fixes n and takes no grid n")
+            return threshold_graph(rest)
+        n = default_n if n is None else n
+        if n is None:
+            raise ValueError(f"graph spec {spec!r} does not fix n")
+        return regular_circulant(n, d) if name == "circulant" else _FAMILIES[name](n)
+
+    return at
+
+
+def graph_from_spec(spec: str) -> Graph:
+    """One concrete graph from a spec string (see graph_template); n must be
+    present."""
+    return graph_template(spec)(None)
 
 
 # ── edge-list files ───────────────────────────────────────────────────────
@@ -278,14 +309,15 @@ def save_edge_list(g: Graph, path_or_file) -> None:
     """Write g in canonical edge-list form (sorted edges, u < v)."""
     out = [f"{g.n} {g.m}"]
     out.extend(f"{u} {v}" for u, v in g.edges)
-    text = "\n".join(out) + "\n"
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
+    write_text("\n".join(out) + "\n", path_or_file)
+
+
+def write_text(text: str, dest) -> None:
+    """Write text to stdout (dest None), an open file, or a path."""
+    if dest is None:
+        sys.stdout.write(text)
+    elif hasattr(dest, "write"):
+        dest.write(text)
     else:
-        with open(path_or_file, "w", encoding="utf-8") as fh:
+        with open(dest, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def binom2(x: int) -> int:
-    """C(x, 2) as an integer; 0 for x < 2."""
-    return math.comb(x, 2) if x >= 2 else 0

@@ -5,9 +5,7 @@ count, M_i is the number of edges whose endpoints both receive color i,
 M is their total, and L = m - M is the bichromatic count.  The formulas
 below give exact means and variances in terms of m, the degree second
 moment, and falling factorials / elementary symmetric polynomials of the
-class sizes.  Rational arithmetic is authoritative; each formula also has a
-float mirror (suffix _float) for long sweeps, tested to agree to relative
-1e-9.
+class sizes.  Rational arithmetic is authoritative.
 
 Variance formulas divide by the falling factorial of n over 4 entries and
 therefore require n >= 4; for n in {2, 3} use the exhaustive distribution
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coloring import Composition, imbalance
-from .graph import Graph, GraphStats, stats, zeta_squared
+from .graph import Graph, GraphStats, stats
 from .symfun import falling_factorial as ff
 
 
@@ -193,57 +191,7 @@ def full_report(g: Graph, c: Composition) -> MomentReport:
         a_c=a,
         b_c=b,
         rho=rho(c),
-        zeta_sq=zeta_squared(g),
+        zeta_sq=Fraction(st.sigma2, g.m * g.m),
         imbalance_sq=imbalance(c),
         normalized_var=var / (g.m * g.m),
     )
-
-
-# ── float mirror ──────────────────────────────────────────────────────────
-# Same formulas in 64-bit floats, for sweeps where building Fractions is
-# wasteful.  Tested against the exact path to relative 1e-9.
-
-
-def _ff_f(a: float, b: int) -> float:
-    out = 1.0
-    for j in range(b):
-        out *= a - j
-    return out
-
-
-def mean_Mi_float(m: int, n: int, c_i: int) -> float:
-    return m * _ff_f(c_i, 2) / _ff_f(n, 2)
-
-
-def var_Mi_float(sigma2: int, m: int, n: int, c_i: int) -> float:
-    q2 = _ff_f(c_i, 2) / _ff_f(n, 2)
-    q3 = _ff_f(c_i, 3) / _ff_f(n, 3)
-    q4 = _ff_f(c_i, 4) / _ff_f(n, 4)
-    coeff = _ff_f(c_i, 3) * (n - c_i) / _ff_f(n, 4)
-    return coeff * sigma2 - (q2 * q2 - q4) * m * m + (q2 - 2 * q3 + q4) * m
-
-
-def coefficients_ab_float(c: Composition) -> tuple[float, float]:
-    n = c.n
-    e2, e3 = c.elementary(2), c.elementary(3)
-    a = e2 / _ff_f(n, 2) + 3 * e3 / _ff_f(n, 3)
-    b = 4 / _ff_f(n, 4) * (e2 * e2 - (n - 1) * e2 - 3 * e3)
-    return a, b
-
-
-def mean_M_L_float(m: int, c: Composition) -> tuple[float, float]:
-    mean_l = 2 * m * c.elementary(2) / _ff_f(c.n, 2)
-    return m - mean_l, mean_l
-
-
-def var_common_float(sigma2: int, m: int, c: Composition) -> float:
-    a, b = coefficients_ab_float(c)
-    q = c.elementary(2) / _ff_f(c.n, 2)
-    return (a - b) * sigma2 + (b - 4 * q * q) * m * m + (2 * q - 2 * a + b) * m
-
-
-def rho_float(c: Composition) -> float:
-    n = c.n
-    p2 = sum((ci / n) ** 2 for ci in c.classes)
-    p3 = sum((ci / n) ** 3 for ci in c.classes)
-    return p3 - p2 * p2

@@ -19,7 +19,7 @@ from fractions import Fraction
 from collections.abc import Iterator, Sequence
 
 from . import moments
-from .coloring import Composition, prob_distinct_colors, prob_fixed_colors
+from .coloring import Composition, _per_color_counts, prob_distinct_colors, prob_fixed_colors
 from .graph import Graph, complete, cycle, path, star, stats, threshold_graph
 from .seeds import stream
 
@@ -99,12 +99,7 @@ def enumerate_colorings(
     support: dict[tuple[int, ...], int] = {}
     visited = 0
     for colors in multiset_permutations(_color_word(c)):
-        per = [0] * s
-        for u, v in edges:
-            cu = colors[u]
-            if cu == colors[v]:
-                per[cu - 1] += 1
-        key = tuple(per)
+        key = tuple(_per_color_counts(edges, colors, s))
         support[key] = support.get(key, 0) + 1
         visited += 1
     assert visited == total, "enumeration count does not match multinomial"

@@ -14,15 +14,17 @@ parameters are rational; float parameters flow through as floats.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, parse_params
 from .seeds import stream
 
 # Grid verdict thresholds.  "concentrates": fitted power-law exponent of the
@@ -582,28 +584,47 @@ def assumption_star_check(
 
 # ── model spec strings ────────────────────────────────────────────────────
 
+# model kind -> the parameter its spec string must give (None: n only)
+MODEL_PARAMS = {"gnp": "p", "config": "law", "geo": "r", "cl": "w", "starlike": None}
 
-def _merge_fragments(rest: str) -> dict[str, str]:
-    """key=value pairs split on commas; a fragment without '=' continues the
-    previous value (degree laws contain commas of their own)."""
-    out: dict[str, str] = {}
-    last = None
-    for part in rest.split(","):
-        if "=" in part:
-            key, _, val = part.partition("=")
-            key = key.strip()
-            out[key] = val.strip()
-            last = key
-        elif last is not None:
-            out[last] += "," + part.strip()
-        else:
-            raise ValueError(f"expected key=value, got {part!r}")
-    return out
+_PARAM_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+}
+_PARAM_FUNCS = {"sqrt": math.sqrt, "log": math.log}
+# a power may not exceed 2**MAX_POWER_BITS in magnitude, so n**n**n fails
+# at once instead of running away
+MAX_POWER_BITS = 1024
+
+
+def _eval_node(node: ast.AST, n: int):
+    match node:
+        case ast.Constant(value=int() | float() as v) if type(v) is not bool:
+            return v
+        case ast.Name(id="n"):
+            return n
+        case ast.Name(id="pi"):
+            return math.pi
+        case ast.UnaryOp(op=ast.USub(), operand=x):
+            return -_eval_node(x, n)
+        case ast.BinOp(left=x, op=ast.Pow(), right=y):
+            base, exp = _eval_node(x, n), _eval_node(y, n)
+            if abs(exp) * math.log2(max(abs(base), 2)) > MAX_POWER_BITS:
+                raise ValueError(f"power exceeds 2**{MAX_POWER_BITS}")
+            return base**exp
+        case ast.BinOp(left=x, op=op, right=y) if type(op) in _PARAM_OPS:
+            return _PARAM_OPS[type(op)](_eval_node(x, n), _eval_node(y, n))
+        case ast.Call(func=ast.Name(id=f), args=[x], keywords=[]) if f in _PARAM_FUNCS:
+            return _PARAM_FUNCS[f](_eval_node(x, n))
+    raise ValueError(f"{ast.unparse(node)!r} is not allowed")
 
 
 def _eval_param(text: str, n: int | None):
     """Numeric parameter: exact Fraction for plain numbers ("0.1", "3/4"),
-    otherwise a restricted expression in n ("4/n", "n**-0.5")."""
+    otherwise an expression in n ("4/n", "n**-0.5") built from numbers, n,
+    pi, + - * / **, unary minus, sqrt and log."""
     try:
         f = Fraction(text)
         return int(f) if f.denominator == 1 else f
@@ -611,11 +632,20 @@ def _eval_param(text: str, n: int | None):
         pass
     if n is None:
         raise ValueError(f"parameter {text!r} needs n, which is not set")
-    allowed = {"n": n, "sqrt": math.sqrt, "log": math.log, "pi": math.pi}
     try:
-        return eval(text, {"__builtins__": {}}, allowed)  # noqa: S307 - restricted names
-    except Exception as exc:
+        val = _eval_node(ast.parse(text.strip(), mode="eval").body, n)
+    except (
+        SyntaxError,
+        MemoryError,  # the parser's report of input nested too deeply
+        RecursionError,
+        ArithmeticError,
+        TypeError,
+        ValueError,
+    ) as exc:
         raise ValueError(f"cannot evaluate parameter {text!r}: {exc}") from exc
+    if not isinstance(val, (int, float)):
+        raise ValueError(f"parameter {text!r} is not a real number: {val!r}")
+    return val
 
 
 def _parse_law(text: str) -> DegreeLaw:
@@ -652,12 +682,12 @@ def parse_model_template(text: str) -> Callable[[int], ModelSpec]:
     """
     kind, sep, rest = text.partition(":")
     kind = kind.strip().lower()
-    if kind not in ("gnp", "config", "geo", "cl", "starlike"):
+    if kind not in MODEL_PARAMS:
         raise ValueError(f"unknown model kind {kind!r}")
-    if not sep and kind != "starlike":
+    required = MODEL_PARAMS[kind]
+    if not sep and required is not None:
         raise ValueError(f"model spec needs parameters, got {text!r}")
-    params = _merge_fragments(rest) if rest else {}
-    required = {"gnp": "p", "config": "law", "geo": "r", "cl": "w"}.get(kind)
+    params = parse_params(rest) if rest else {}
     if required is not None and required not in params:
         raise ValueError(f"model {kind!r} needs parameter {required!r}")
     default_n = int(params["n"]) if "n" in params else None
@@ -674,9 +704,7 @@ def parse_model_template(text: str) -> Callable[[int], ModelSpec]:
             return GeometricTorus(n, float(_eval_param(params["r"], n)))
         if kind == "cl":
             return ChungLu(n, _load_weights(params["w"]))
-        if kind == "starlike":
-            return star_like(n)
-        raise ValueError(f"unknown model kind {kind!r}")
+        return star_like(n)
 
     return at
 

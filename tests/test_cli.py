@@ -1,6 +1,10 @@
 """End-to-end runs of every subcommand through main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -177,6 +181,20 @@ class TestRegime:
 
 
 class TestRdcheck:
+    @pytest.mark.parametrize(
+        "expr", ["().__class__.__base__.__subclasses__().__len__()", "n**n**n"]
+    )
+    def test_hostile_expression_exits_2_promptly(self, expr):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "colorstats.cli", "rdcheck",
+             "--model", f"gnp:p={expr}", "--grid", "500"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "cannot evaluate parameter" in proc.stderr
+
     def test_closed_verdict(self, capsys):
         code, out, _ = run(
             capsys,

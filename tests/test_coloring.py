@@ -73,6 +73,10 @@ class TestSampling:
         counts = np.stack([(mat == k).sum(axis=1) for k in (1, 2, 3)], axis=1)
         assert (counts == 2).all()
 
+    def test_batch_colors_stay_distinct_past_int16(self):
+        row = sample_batch(Composition((1,) * 70_000), 1, stream(4))[0]
+        assert len(np.unique(row)) == 70_000
+
     def test_uniform_over_all_colorings(self):
         """Chi-square goodness of fit at the 1e-3 level, every composition
         of every n <= 6, 1e5 samples each."""

@@ -9,11 +9,11 @@ import pytest
 from colorstats.graph import (
     EdgeListError,
     Graph,
-    binom2,
     complete,
     cycle,
     disjoint_union,
     graph_from_spec,
+    graph_template,
     load_edge_list,
     path,
     regular_circulant,
@@ -123,6 +123,17 @@ class TestGenerators:
         with pytest.raises(ValueError):
             graph_from_spec("mystery:4")
 
+    def test_graph_template_takes_grid_n(self):
+        assert graph_template("star")(9) == star(9)
+        assert graph_template("star:8")(9) == star(9)
+        assert graph_template("circulant:d=4")(10) == graph_from_spec("circulant:n=10,d=4")
+        with pytest.raises(ValueError, match="does not fix n"):
+            graph_from_spec("circulant:d=4")
+        with pytest.raises(ValueError, match="needs a degree"):
+            graph_template("circulant:n=10")
+        with pytest.raises(ValueError, match="no grid n"):
+            graph_template("threshold:IDID")(8)
+
 
 class TestEdgeListIO:
     def test_round_trip(self):
@@ -163,8 +174,3 @@ class TestEdgeListIO:
             load_edge_list(io.StringIO(text))
         assert err.value.line == lineno
         assert fragment in str(err.value)
-
-
-def test_binom2():
-    assert binom2(5) == 10
-    assert binom2(1) == 0

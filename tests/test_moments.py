@@ -1,12 +1,13 @@
-"""Exact moment formulas: frozen values, structural identities, float mirrors."""
+"""Exact moment formulas: frozen values and structural identities."""
 
-import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from colorstats import graph as graph_mod
+from colorstats import moments as moments_mod
 from colorstats.coloring import Composition, prob_distinct_colors
 from colorstats.graph import (
     complete,
@@ -14,23 +15,16 @@ from colorstats.graph import (
     path,
     star,
     stats,
-    threshold_graph,
 )
 from colorstats.moments import (
     coefficients_ab,
-    coefficients_ab_float,
     full_report,
     mean_M_L,
-    mean_M_L_float,
     mean_Mi,
-    mean_Mi_float,
     pz_lower_bound,
     rho,
-    rho_float,
     var_common,
-    var_common_float,
     var_Mi,
-    var_Mi_float,
 )
 
 compositions = (
@@ -122,12 +116,6 @@ class TestCoefficientIdentities:
         assert mean_m == sum(mean_Mi(m, c.n, ci) for ci in c.classes)
 
 
-def _graph_corpus():
-    out = [path(5), cycle(6), star(7), complete(5), threshold_graph("IDID")]
-    out.append(path(4))
-    return out
-
-
 class TestValidation:
     def test_small_n_refused(self):
         c = Composition((2, 1))
@@ -178,6 +166,19 @@ class TestFullReport:
         assert rep.zeta_sq == Fraction(1, 2)
         assert len(rep.per_color_var) == 3
 
+    def test_degree_statistics_computed_once(self, monkeypatch):
+        calls = []
+        real = graph_mod.stats
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(graph_mod, "stats", counted)
+        monkeypatch.setattr(moments_mod, "stats", counted)
+        rep = full_report(cycle(8), Composition((4, 4)))
+        assert len(calls) == 1 and rep.zeta_sq == Fraction(1, 2)
+
     def test_json_round_trip(self):
         rep = full_report(star(6), Composition((4, 2)))
         d = rep.to_json_dict()
@@ -187,48 +188,3 @@ class TestFullReport:
         assert len(d["per_color_mean"]) == 2
         got = Fraction(d["per_color_var"][1]["num"], d["per_color_var"][1]["den"])
         assert got == rep.per_color_var[1]
-
-
-def _close(exact: Fraction, approx: float, m: int) -> bool:
-    return math.isclose(
-        float(exact),
-        approx,
-        rel_tol=1e-9,
-        abs_tol=1e-9 * max(1.0, 1e-6 * m * m),
-    )
-
-
-class TestFloatMirror:
-    @pytest.mark.parametrize("g", _graph_corpus(), ids=lambda g: f"n{g.n}m{g.m}")
-    def test_matches_exact_path(self, g):
-        st_ = stats(g)
-        for s in (2, 3):
-            for shift in range(s):
-                sizes = list(Composition.balanced(g.n, s).classes)
-                if shift and sizes[0] > 1:
-                    sizes[0] -= shift
-                    sizes[-1] += shift
-                if any(x < 1 for x in sizes):
-                    continue
-                c = Composition(tuple(sizes))
-                for i, ci in enumerate(c.classes, start=1):
-                    assert _close(
-                        mean_Mi(g.m, g.n, ci), mean_Mi_float(g.m, g.n, ci), g.m
-                    )
-                    assert _close(
-                        var_Mi(st_, c, i),
-                        var_Mi_float(st_.sigma2, g.m, g.n, ci),
-                        g.m,
-                    )
-                ae, be = coefficients_ab(c)
-                af, bf = coefficients_ab_float(c)
-                assert _close(ae, af, g.m) and _close(be, bf, g.m)
-                me, le = mean_M_L(g.m, c)
-                mf, lf = mean_M_L_float(g.m, c)
-                assert _close(me, mf, g.m) and _close(le, lf, g.m)
-                assert _close(
-                    var_common(st_, c),
-                    var_common_float(st_.sigma2, g.m, c),
-                    g.m,
-                )
-                assert _close(rho(c), rho_float(c), g.m)

@@ -13,6 +13,7 @@ from colorstats.randgraph import (
     GeometricTorus,
     Gnp,
     _decode_pairs,
+    _eval_param,
     assumption_star_check,
     classify_ratio_trend,
     config_sample,
@@ -283,11 +284,34 @@ class TestSpecStrings:
 
     @pytest.mark.parametrize(
         "text",
-        ["config:n=5,law=3", "gnp:n=10,p=q+1"],
+        [
+            "config:n=5,law=3",
+            "gnp:n=10,p=q+1",
+            "gnp:n=500,p=n**n**n",
+            "gnp:n=500,p=(-n)**0.5",
+            "gnp:n=500,p=True",
+        ],
     )
     def test_rejected_at_evaluation(self, text):
         with pytest.raises(ValueError):
             parse_model(text)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("4/n", 4 / 100),
+            ("n**-0.5", 100**-0.5),
+            ("sqrt(n)/n", math.sqrt(100) / 100),
+            ("log(n)/n", math.log(100) / 100),
+            ("pi/n", math.pi / 100),
+            ("2*n", 200),
+            ("0.1", Fraction(1, 10)),
+            ("3/4", Fraction(3, 4)),
+        ],
+    )
+    def test_expression_values_and_types(self, text, expected):
+        got = _eval_param(text, 100)
+        assert got == expected and type(got) is type(expected)
 
     def test_missing_n_rejected_at_build(self):
         with pytest.raises(ValueError, match="fix n"):
