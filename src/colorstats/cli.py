@@ -42,6 +42,12 @@ def _classes_arg(text: str, n: int) -> Composition:
     return Composition(sizes)
 
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _grid_arg(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(","))
 
@@ -198,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--threads",
-        type=int,
-        default=int(os.environ.get("COLORSTATS_THREADS", "1")),
+        type=_positive_int,
+        default=os.environ.get("COLORSTATS_THREADS", "1"),
         help="worker threads (default: COLORSTATS_THREADS or 1); output does not depend on it",
     )
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -224,7 +230,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, EdgeListError, BudgetExceededError, OSError) as exc:
+    except (ValueError, EdgeListError, BudgetExceededError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,6 +25,9 @@ from .symfun import elementary_symmetric, falling_factorial
 # capped here
 MAX_ENUMERATED_COLORS = 12
 
+# coloring rows per count_batch comparison buffer, which is (rows, m)
+BATCH_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class Composition:
@@ -151,20 +154,15 @@ def _per_color_counts(edges, colors: ColorAssignment, s: int) -> list[int]:
     return per
 
 
-def count_batch(g: Graph, colors: np.ndarray, chunk: int = 4096) -> np.ndarray:
-    """Monochromatic edge count per row of a (trials, n) coloring matrix.
-
-    Chunked so the (trials, m) comparison buffer stays modest for large
-    graphs.
-    """
+def count_batch(g: Graph, colors: np.ndarray) -> np.ndarray:
+    """Monochromatic edge count per row of a (trials, n) coloring matrix,
+    BATCH_ROWS rows at a time."""
     if g.m == 0:
         return np.zeros(colors.shape[0], dtype=np.int64)
-    us = np.fromiter((u for u, _ in g.edges), dtype=np.intp, count=g.m)
-    vs = np.fromiter((v for _, v in g.edges), dtype=np.intp, count=g.m)
     out = np.empty(colors.shape[0], dtype=np.int64)
-    for lo in range(0, colors.shape[0], chunk):
-        block = colors[lo : lo + chunk]
-        out[lo : lo + chunk] = (block[:, us] == block[:, vs]).sum(axis=1)
+    for lo in range(0, colors.shape[0], BATCH_ROWS):
+        block = colors[lo : lo + BATCH_ROWS]
+        out[lo : lo + BATCH_ROWS] = (block[:, g.u] == block[:, g.v]).sum(axis=1)
     return out
 
 

@@ -37,6 +37,8 @@ from .seeds import stream
 # statements; the CLI exposes flags to override them.
 ZETA_THRESHOLD = 0.2
 IMBALANCE_THRESHOLD = 1e-3
+PZ_THETA = Fraction(1, 2)  # deviation level of each regime row's pz_bound
+SE_BAND = 4.0  # run_comparison's tolerance, in standard errors
 
 
 def parse_coloring_rule(text: str) -> Callable[[int], Composition]:
@@ -167,7 +169,6 @@ def run_regime(
     family: FamilySpec,
     trials: int = 0,
     seed: int = 0,
-    theta: Fraction = Fraction(1, 2),
     zeta_threshold: float = ZETA_THRESHOLD,
     imbalance_threshold: float = IMBALANCE_THRESHOLD,
     threads: int = 1,
@@ -203,7 +204,7 @@ def run_regime(
                 imbalance_sq=rep.imbalance_sq,
                 normalized_var=rep.normalized_var,
                 rho_zeta_product=rep.rho * rep.zeta_sq,
-                pz_bound=pz_lower_bound(theta, rep.var_common, rep.m),
+                pz_bound=pz_lower_bound(PZ_THETA, rep.var_common, rep.m),
                 empirical_mean=emp_mean,
                 empirical_var=emp_var,
                 predicted_regime=regime,
@@ -254,7 +255,7 @@ class ComparisonRecord:
 
 
 def run_comparison(
-    g: Graph, c: Composition, trials: int, seed: int, band: float = 4.0
+    g: Graph, c: Composition, trials: int, seed: int
 ) -> ComparisonRecord:
     """Sample `trials` colorings of g and compare M's moments to the formulas."""
     if trials < 2:
@@ -273,11 +274,11 @@ def run_comparison(
     if se_mean == 0.0:
         mean_ok = emp_mean == float(exact_mean)
     else:
-        mean_ok = abs(emp_mean - float(exact_mean)) <= band * se_mean
+        mean_ok = abs(emp_mean - float(exact_mean)) <= SE_BAND * se_mean
     if se_var == 0.0:
         var_ok = emp_var == float(exact_var)
     else:
-        var_ok = abs(emp_var - float(exact_var)) <= band * se_var
+        var_ok = abs(emp_var - float(exact_var)) <= SE_BAND * se_var
     return ComparisonRecord(
         n=g.n,
         m=g.m,

@@ -1,18 +1,21 @@
 """Simple undirected graphs: construction, degree statistics, file IO.
 
-Graphs are immutable: a vertex count plus a canonically sorted tuple of
-edges (u, v) with u < v.  The statistics collected here (degree second
-moment, wedge count) are exactly the graph-side quantities the moment
-formulas consume.
+Graphs are immutable: a vertex count plus two read-only int64 arrays u and
+v, edge i joining u[i] < v[i], sorted by (u, v).  The statistics collected
+here (degree second moment, wedge count) are exactly the graph-side
+quantities the moment formulas consume.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
+
+import numpy as np
 
 
 class EdgeListError(ValueError):
@@ -23,42 +26,54 @@ class EdgeListError(ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected simple graph on vertices 0..n-1 with canonical edge order."""
+    """Undirected simple graph on vertices 0..n-1; edge i joins u[i] < v[i]."""
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    u: np.ndarray
+    v: np.ndarray
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Validate, canonicalize (u < v, sorted, deduplicated is an error)."""
-        if n < 1:
-            raise ValueError(f"graph needs at least one vertex, got n={n}")
-        canon = []
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            canon.append((u, v) if u < v else (v, u))
-        canon.sort()
-        for a, b in zip(canon, canon[1:]):
-            if a == b:
-                raise ValueError(f"duplicate edge {a}")
-        return cls(n, tuple(canon))
+    def from_edges(cls, n: int, edges: np.typing.ArrayLike) -> "Graph":
+        """Validate, canonicalize an (m, 2) array-like: u < v, sorted, no duplicates."""
+        if not 1 <= n < 2**63:  # vertex labels are int64
+            raise ValueError(f"graph needs 1 <= n < 2**63 vertices, got n={n}")
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        lo, hi = np.minimum(*pairs.T), np.maximum(*pairs.T)
+        bad = (lo == hi) | (lo < 0) | (hi >= n)
+        if bad.any():
+            x, y = pairs[np.argmax(bad)].tolist()
+            if x == y:
+                raise ValueError(f"self-loop at vertex {x}")
+            raise ValueError(f"edge ({x}, {y}) out of range for n={n}")
+        order = np.lexsort((hi, lo))
+        u, v = lo[order], hi[order]
+        dup = (u[1:] == u[:-1]) & (v[1:] == v[:-1])
+        if dup.any():
+            i = np.argmax(dup)
+            raise ValueError(f"duplicate edge {(int(u[i]), int(v[i]))}")
+        u.flags.writeable = v.flags.writeable = False
+        return cls(n, u, v)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.u)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as Python-int pairs, for per-edge Python loops."""
+        return tuple(zip(self.u.tolist(), self.v.tolist()))
 
     @cached_property
-    def degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return tuple(deg)
+    def degrees(self) -> np.ndarray:
+        deg = np.bincount(np.concatenate((self.u, self.v)), minlength=self.n)
+        deg.flags.writeable = False
+        return deg
+
+    def __eq__(self, other):
+        return (isinstance(other, Graph) and self.n == other.n
+                and np.array_equal(self.u, other.u) and np.array_equal(self.v, other.v))
 
 
 @dataclass(frozen=True)
@@ -80,16 +95,15 @@ def stats(g: Graph) -> GraphStats:
     check.  wedges counts unordered paths of length two, sum of C(d, 2).
     """
     deg = g.degrees
-    sigma2 = sum(d * d for d in deg)
-    edge_sum = sum(deg[u] + deg[v] for u, v in g.edges)
+    sigma2 = int((deg * deg).sum())
+    edge_sum = int(deg[g.u].sum() + deg[g.v].sum())
     assert edge_sum == sigma2, "degree-square identity violated"
-    wedges = sum(d * (d - 1) // 2 for d in deg)
     return GraphStats(
         n=g.n,
         m=g.m,
         sigma2=sigma2,
-        wedges=wedges,
-        max_degree=max(deg) if deg else 0,
+        wedges=int((deg * (deg - 1) // 2).sum()),
+        max_degree=int(deg.max()),
     )
 
 
@@ -106,7 +120,7 @@ def zeta_squared(g: Graph) -> Fraction:
 def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"complete graph needs n >= 1, got {n}")
-    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return Graph.from_edges(n, np.column_stack(np.triu_indices(n, k=1)))
 
 
 def star(n: int) -> Graph:
@@ -138,13 +152,11 @@ def regular_circulant(n: int, d: int) -> Graph:
         raise ValueError(f"circulant degree must satisfy 1 <= d < n, got d={d}")
     if d % 2 == 1 and n % 2 == 1:
         raise ValueError(f"no {d}-regular graph on {n} vertices: n*d is odd")
-    edges = set()
-    for v in range(n):
-        for off in range(1, d // 2 + 1):
-            edges.add(tuple(sorted((v, (v + off) % n))))
-        if d % 2 == 1:
-            edges.add(tuple(sorted((v, (v + n // 2) % n))))
-    return Graph.from_edges(n, sorted(edges))
+    vs = np.arange(n, dtype=np.int64)
+    blocks = [np.column_stack((vs, (vs + off) % n)) for off in range(1, d // 2 + 1)]
+    if d % 2 == 1:
+        blocks.append(np.column_stack((vs[: n // 2], vs[n // 2 :])))
+    return Graph.from_edges(n, np.concatenate(blocks))
 
 
 def threshold_graph(creation: str) -> Graph:
@@ -167,12 +179,12 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
     """Disjoint union; vertex labels of later graphs are shifted up."""
     if not graphs:
         raise ValueError("disjoint_union needs at least one graph")
-    edges = []
+    shifted = []
     offset = 0
     for g in graphs:
-        edges.extend((u + offset, v + offset) for u, v in g.edges)
+        shifted.append(np.column_stack((g.u, g.v)) + offset)
         offset += g.n
-    return Graph.from_edges(offset, edges)
+    return Graph.from_edges(offset, np.concatenate(shifted))
 
 
 _FAMILIES = {
@@ -247,6 +259,11 @@ def graph_from_spec(spec: str) -> Graph:
 # ── edge-list files ───────────────────────────────────────────────────────
 
 
+# a number in an edge-list file; int() alone would also take "+1", "1_0"
+# and non-ASCII digits
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
 def load_edge_list(path_or_file) -> Graph:
     """Read a graph from the plain edge-list format.
 
@@ -266,29 +283,27 @@ def load_edge_list(path_or_file) -> Graph:
     header = lines[0].split()
     if len(header) != 2:
         raise EdgeListError(f"header must be 'n m', got {lines[0]!r}", line=1)
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError:
+    if not all(map(_DECIMAL.fullmatch, header)):
         raise EdgeListError(f"header must be two integers, got {lines[0]!r}", line=1)
+    n, m = map(int, header)
     if n < 1 or m < 0:
         raise EdgeListError(f"header values out of range: n={n}, m={m}", line=1)
 
-    edges = []
+    ends = []  # u0, v0, u1, v1, ...
     seen = set()
     lineno = 1
     for raw in lines[1:]:
         lineno += 1
         if not raw.strip():
             continue
-        if len(edges) == m:
+        if len(seen) == m:
             raise EdgeListError(f"more than the declared {m} edges", line=lineno)
         tokens = raw.split()
         if len(tokens) != 2:
             raise EdgeListError(f"edge line must be 'u v', got {raw!r}", line=lineno)
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
+        if not all(map(_DECIMAL.fullmatch, tokens)):
             raise EdgeListError(f"edge line must be two integers, got {raw!r}", line=lineno)
+        u, v = map(int, tokens)
         if u == v:
             raise EdgeListError(f"self-loop at vertex {u}", line=lineno)
         if not (0 <= u < n and 0 <= v < n):
@@ -297,12 +312,12 @@ def load_edge_list(path_or_file) -> Graph:
         if e in seen:
             raise EdgeListError(f"duplicate edge {e}", line=lineno)
         seen.add(e)
-        edges.append(e)
-    if len(edges) != m:
+        ends.extend(e)
+    if len(seen) != m:
         raise EdgeListError(
-            f"declared {m} edges but found {len(edges)}", line=lineno
+            f"declared {m} edges but found {len(seen)}", line=lineno
         )
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(n, np.reshape(ends, (-1, 2)))
 
 
 def save_edge_list(g: Graph, path_or_file) -> None:

@@ -18,12 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Iterator, Sequence
 
+import numpy as np
+
 from . import moments
 from .coloring import Composition, _per_color_counts, prob_distinct_colors, prob_fixed_colors
 from .graph import Graph, complete, cycle, path, star, stats, threshold_graph
 from .seeds import stream
 
 DEFAULT_BUDGET = 10_000_000
+CORPUS_SEED = 20291  # master seed of the corpus's Bernoulli graphs
 
 
 class BudgetExceededError(RuntimeError):
@@ -220,7 +223,7 @@ def compositions_of(n: int, s: int) -> Iterator[tuple[int, ...]]:
         yield tuple(parts)
 
 
-def corpus_graphs(max_n: int = 8, seed: int = 20291) -> list[tuple[str, Graph]]:
+def corpus_graphs(max_n: int = 8) -> list[tuple[str, Graph]]:
     """Deterministic verification corpus: named families plus seeded
     Bernoulli graphs, all on 4..max_n vertices with at least one edge."""
     if max_n < 4:
@@ -236,13 +239,11 @@ def corpus_graphs(max_n: int = 8, seed: int = 20291) -> list[tuple[str, Graph]]:
     orders = list(range(4, max_n + 1))
     for i in range(20):
         n = orders[i % len(orders)]
+        pairs = np.column_stack(np.triu_indices(n, k=1))
         for attempt in range(100):
-            rng = stream(seed, i, attempt)
-            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-            keep = rng.random(len(pairs)) < 0.5
-            edges = [e for e, k in zip(pairs, keep) if k]
-            if edges:
-                out.append((f"random:{i}(n={n})", Graph.from_edges(n, edges)))
+            keep = stream(CORPUS_SEED, i, attempt).random(len(pairs)) < 0.5
+            if keep.any():
+                out.append((f"random:{i}(n={n})", Graph.from_edges(n, pairs[keep])))
                 break
         else:  # pragma: no cover - p(no edges) is astronomically small
             raise RuntimeError("could not draw a nonempty random graph")

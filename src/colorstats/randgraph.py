@@ -31,7 +31,7 @@ from .seeds import stream
 # ratio over the n-grid at most CONC_EXPONENT and final ratio below
 # FINAL_THRESHOLD.  "anti_concentrates": every ratio above FINAL_THRESHOLD
 # with fitted exponent within FLAT_EXPONENT of zero.  Anything else is
-# "inconclusive".  Overridable via classify_ratio_trend keyword arguments.
+# "inconclusive".
 FINAL_THRESHOLD = 0.05
 CONC_EXPONENT = -0.5
 FLAT_EXPONENT = 0.1
@@ -182,21 +182,15 @@ def _num_str(x) -> str:
 # ── generation ────────────────────────────────────────────────────────────
 
 
-def _pair_starts(n: int) -> np.ndarray:
-    sizes = np.arange(n - 1, -1, -1, dtype=np.int64)
+def _decode_pairs(idx: np.ndarray, n: int) -> np.ndarray:
+    """(m, 2) endpoint pairs of linearized pair indices in (u, v) order."""
     starts = np.zeros(n, dtype=np.int64)
-    np.cumsum(sizes[:-1], out=starts[1:])
-    return starts
-
-
-def _decode_pairs(idx: np.ndarray, n: int) -> list[tuple[int, int]]:
-    starts = _pair_starts(n)
+    np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64), out=starts[1:])
     us = np.searchsorted(starts, idx, side="right") - 1
-    vs = idx - starts[us] + us + 1
-    return list(zip(us.tolist(), vs.tolist()))
+    return np.column_stack((us, idx - starts[us] + us + 1))
 
 
-def _bernoulli_pair_edges(n: int, p: float, rng: np.random.Generator) -> list[tuple[int, int]]:
+def _bernoulli_pair_edges(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     """Edge list of independent Bernoulli(p) pairs, in canonical pair order.
 
     Sparse p uses geometric skipping over the linearized pair index, dense p
@@ -205,9 +199,9 @@ def _bernoulli_pair_edges(n: int, p: float, rng: np.random.Generator) -> list[tu
     """
     total = n * (n - 1) // 2
     if total == 0 or p <= 0.0:
-        return []
+        return _decode_pairs(np.empty(0, dtype=np.int64), n)
     if p >= 1.0:
-        return [(u, v) for u in range(n) for v in range(u + 1, n)]
+        return _decode_pairs(np.arange(total, dtype=np.int64), n)
     if p >= 0.1:
         hits = np.nonzero(rng.random(total) < p)[0]
         return _decode_pairs(hits, n)
@@ -232,7 +226,7 @@ class ConfigSample:
     """One erased-configuration draw with its pre-erasure degree statistics."""
 
     graph: Graph
-    pre_degrees: tuple[int, ...]
+    pre_degrees: np.ndarray
     pre_m: int
     pre_sigma2: int
 
@@ -243,20 +237,13 @@ def config_sample(spec: ConfigModel, rng: np.random.Generator) -> ConfigSample:
     if int(degrees.sum()) % 2 == 1:
         degrees[int(rng.integers(n))] += 1
     stubs = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    order = rng.permutation(len(stubs))
-    shuffled = stubs[order]
-    us = shuffled[0::2]
-    vs = shuffled[1::2]
-    keep = us != vs
-    lo = np.minimum(us[keep], vs[keep])
-    hi = np.maximum(us[keep], vs[keep])
-    uniq = set(zip(lo.tolist(), hi.tolist()))
-    pre_sum = int(degrees.sum())
+    pairs = np.sort(stubs[rng.permutation(len(stubs))].reshape(-1, 2), axis=1)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
     return ConfigSample(
-        graph=Graph.from_edges(n, sorted(uniq)),
-        pre_degrees=tuple(int(d) for d in degrees),
-        pre_m=pre_sum // 2,
-        pre_sigma2=int((degrees.astype(np.int64) ** 2).sum()),
+        graph=Graph.from_edges(n, np.unique(pairs, axis=0)),
+        pre_degrees=degrees,
+        pre_m=int(degrees.sum()) // 2,
+        pre_sigma2=int((degrees * degrees).sum()),
     )
 
 
@@ -273,16 +260,14 @@ def generate(spec: ModelSpec, rng: np.random.Generator) -> Graph:
         d2 = (diff**2).sum(axis=-1)
         iu = np.triu_indices(spec.n, k=1)
         hit = d2[iu] <= spec.r**2
-        edges = list(zip(iu[0][hit].tolist(), iu[1][hit].tolist()))
-        return Graph.from_edges(spec.n, edges)
+        return Graph.from_edges(spec.n, np.column_stack((iu[0][hit], iu[1][hit])))
     if isinstance(spec, ChungLu):
         w = np.array([float(x) for x in spec.weights])
         total = w.sum()
         iu = np.triu_indices(spec.n, k=1)
         probs = np.minimum(1.0, w[iu[0]] * w[iu[1]] / total)
         hit = rng.random(len(probs)) < probs
-        edges = list(zip(iu[0][hit].tolist(), iu[1][hit].tolist()))
-        return Graph.from_edges(spec.n, edges)
+        return Graph.from_edges(spec.n, np.column_stack((iu[0][hit], iu[1][hit])))
     raise TypeError(f"unknown model spec {spec!r}")
 
 
@@ -391,12 +376,10 @@ def _sample_stats(spec: ModelSpec, trials: int, seed: int, key: tuple[int, ...])
             samp = config_sample(spec, rng)
             sig[t] = samp.pre_sigma2
             ms[t] = samp.pre_m
-            deg = np.asarray(samp.graph.degrees, dtype=np.int64)
-            post[t] = ((deg**2).sum(), samp.graph.m)
+            post[t] = ((samp.graph.degrees**2).sum(), samp.graph.m)
         else:
             g = generate(spec, rng)
-            deg = np.asarray(g.degrees, dtype=np.int64)
-            sig[t] = (deg**2).sum()
+            sig[t] = (g.degrees**2).sum()
             ms[t] = g.m
     return sig, ms, post
 
@@ -461,13 +444,7 @@ def fit_power_law(ns: Sequence[int], values: Sequence[float]) -> float:
     return float(np.polyfit(np.log(np.asarray(ns, dtype=float)), np.log(values), 1)[0])
 
 
-def classify_ratio_trend(
-    ns: Sequence[int],
-    ratios: Sequence[Fraction | float | None],
-    final_threshold: float = FINAL_THRESHOLD,
-    conc_exponent: float = CONC_EXPONENT,
-    flat_exponent: float = FLAT_EXPONENT,
-) -> str:
+def classify_ratio_trend(ns: Sequence[int], ratios: Sequence[Fraction | float | None]) -> str:
     """Grid verdict from the ratio trend; thresholds documented at module top."""
     if any(r is None for r in ratios) or len(ns) < 2:
         return "inconclusive"
@@ -477,9 +454,9 @@ def classify_ratio_trend(
     if any(v <= 0.0 for v in vals):
         return "inconclusive"
     slope = fit_power_law(ns, vals)
-    if slope <= conc_exponent and vals[-1] < final_threshold:
+    if slope <= CONC_EXPONENT and vals[-1] < FINAL_THRESHOLD:
         return "concentrates"
-    if min(vals) > final_threshold and abs(slope) < flat_exponent:
+    if min(vals) > FINAL_THRESHOLD and abs(slope) < FLAT_EXPONENT:
         return "anti_concentrates"
     return "inconclusive"
 

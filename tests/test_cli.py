@@ -75,6 +75,30 @@ class TestBadInput:
         with pytest.raises(SystemExit):
             main(["moments", "--graph", "star:8"])
 
+    @pytest.mark.parametrize("header", ["1000000000000000 1", str(10**30) + " 1"])
+    def test_huge_n_exits_2(self, capsys, tmp_path, header):
+        f = tmp_path / "huge.txt"
+        f.write_text(header + "\n0 1\n")
+        code, _, err = run(capsys, "moments", "--graph", str(f), "--classes", "balanced:2")
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "env, flag", [("abc", ()), ("1", ("--threads", "0")), ("1", ("--threads", "-1"))]
+    )
+    def test_bad_thread_count_exits_2(self, capsys, tmp_path, monkeypatch, env, flag):
+        monkeypatch.setenv("COLORSTATS_THREADS", env)
+        with pytest.raises(SystemExit) as exc:
+            main(["regime", "--family", "star", "--classes", "balanced:2", "--grid", "8",
+                  *flag, "--out", str(tmp_path / "rows.json")])
+        assert exc.value.code == 2
+        assert "expected a positive integer" in capsys.readouterr().err
+
+    def test_bad_thread_env_ignored_without_threads_option(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLORSTATS_THREADS", "abc")
+        code, _, _ = run(capsys, "moments", "--graph", "star:8", "--classes", "5,3")
+        assert code == 0
+
 
 class TestOracleVerify:
     def test_small_sweep_passes(self, capsys):

@@ -1,12 +1,23 @@
-"""Byte-for-byte CLI output of exact-only commands against committed
-reference files in tests/golden/.  Seeded Monte Carlo commands are left
-out: their bytes depend on numpy's random streams."""
+"""Byte-for-byte CLI output of exact-only commands, and the saved edge
+lists of the deterministic generators, against committed reference files
+in tests/golden/.  Seeded Monte Carlo commands are left out: their bytes
+depend on numpy's random streams."""
 
+import io
 from pathlib import Path
 
 import pytest
 
 from colorstats.cli import main
+from colorstats.graph import (
+    complete,
+    cycle,
+    disjoint_union,
+    path,
+    regular_circulant,
+    save_edge_list,
+    threshold_graph,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -53,3 +64,21 @@ def test_out_file_matches_golden(tmp_path, argv, golden):
     out = tmp_path / golden
     assert main([*argv, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+EDGE_LIST_CASES = [
+    (lambda: regular_circulant(12, 5), "edges_circulant_12_5.txt"),
+    (lambda: regular_circulant(10, 4), "edges_circulant_10_4.txt"),
+    (lambda: regular_circulant(4, 3), "edges_circulant_4_3.txt"),
+    (lambda: regular_circulant(4, 1), "edges_circulant_4_1.txt"),
+    (lambda: complete(6), "edges_complete_6.txt"),
+    (lambda: threshold_graph("IDDID"), "edges_threshold_IDDID.txt"),
+    (lambda: disjoint_union([path(3), cycle(4)]), "edges_union_path3_cycle4.txt"),
+]
+
+
+@pytest.mark.parametrize("build, golden", EDGE_LIST_CASES, ids=[g for _, g in EDGE_LIST_CASES])
+def test_edge_list_matches_golden(build, golden):
+    buf = io.StringIO()
+    save_edge_list(build(), buf)
+    assert buf.getvalue() == (GOLDEN / golden).read_text(encoding="utf-8")

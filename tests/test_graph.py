@@ -5,6 +5,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from colorstats.graph import (
     EdgeListError,
@@ -43,11 +45,55 @@ class TestGraphConstruction:
             Graph.from_edges(3, [(0, 3)])
 
     def test_degrees(self):
-        assert path(4).degrees == (1, 2, 2, 1)
-        assert star(5).degrees == (4, 1, 1, 1, 1)
+        assert path(4).degrees.tolist() == [1, 2, 2, 1]
+        assert star(5).degrees.tolist() == [4, 1, 1, 1, 1]
+
+    def test_first_bad_edge_in_input_order_is_named(self):
+        with pytest.raises(ValueError, match=r"edge \(4, 0\) out of range"):
+            Graph.from_edges(4, [(0, 1), (4, 0), (2, 2), (-1, 3)])
+        with pytest.raises(ValueError, match="self-loop at vertex 2"):
+            Graph.from_edges(4, [(0, 1), (2, 2), (4, 0)])
+        with pytest.raises(ValueError, match=r"duplicate edge \(1, 2\)"):
+            Graph.from_edges(4, [(2, 1), (0, 3), (1, 2)])
+
+    def test_order_past_the_int64_code_range(self):
+        # u * n + v codes would overflow int64 here; the sort must not
+        big = 3 * 10**9
+        g = Graph.from_edges(4 * 10**9, [(big + 1, big), (big, 0), (1, 2)])
+        assert g.edges == ((0, big), (1, 2), (big, big + 1))
+
+    def test_arrays_are_read_only_and_unhashable(self):
+        g = path(4)
+        for arr in (g.u, g.v, g.degrees):
+            with pytest.raises(ValueError):
+                arr[0] = 3
+        with pytest.raises(TypeError):
+            hash(g)
+        assert g == path(4) and g != path(5) and g != cycle(4)
+
+
+@st.composite
+def vertex_pairs(draw):
+    n = draw(st.integers(1, 9))
+    ends = st.integers(0, n - 1)
+    return n, draw(st.sets(st.tuples(ends, ends)))
 
 
 class TestStats:
+    @given(vertex_pairs())
+    def test_matches_python_loop_reference(self, case):
+        n, pairs = case
+        canon = sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b})
+        g = Graph.from_edges(n, canon[::-1])
+        deg = [0] * n
+        for a, b in canon:
+            deg[a] += 1
+            deg[b] += 1
+        assert g.edges == tuple(canon) and g.degrees.tolist() == deg
+        got = stats(g)
+        assert (got.sigma2, got.wedges, got.max_degree) == (
+            sum(d * d for d in deg), sum(d * (d - 1) // 2 for d in deg), max(deg))
+
     def test_path4(self):
         st = stats(path(4))
         assert (st.n, st.m, st.sigma2, st.wedges, st.max_degree) == (4, 3, 10, 2, 2)
@@ -161,6 +207,8 @@ class TestEdgeListIO:
             ("3\n", 1, "header"),
             ("3 x\n", 1, "two integers"),
             ("3 1\n0 q\n", 2, "two integers"),
+            ("12 1\n0 1_0\n", 2, "two integers"),
+            ("3 1\n-1 2\n", 2, "out of range"),
             ("3 1\n0 1 2\n", 2, "u v"),
             ("3 1\n1 1\n", 2, "self-loop"),
             ("3 1\n0 5\n", 2, "out of range"),

@@ -71,8 +71,8 @@ class TestModelValidation:
 
 class TestGeneration:
     def test_pair_decoding(self):
-        want = [(u, v) for u in range(6) for v in range(u + 1, 6)]
-        assert _decode_pairs(np.arange(15), 6) == want
+        want = [[u, v] for u in range(6) for v in range(u + 1, 6)]
+        assert _decode_pairs(np.arange(15), 6).tolist() == want
 
     def test_gnp_extremes(self):
         rng = stream(1)
