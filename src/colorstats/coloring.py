@@ -135,23 +135,19 @@ def count(g: Graph, colors: ColorAssignment, s: int | None = None) -> EdgeCounts
 
     `s` fixes the length of per_color; by default the largest color present
     is used, which undercounts classes only when a trailing color is unused.
+    A color outside 1..s is refused.
     """
     if s is None:
         s = max(colors, default=0)
-    per = _per_color_counts(g.edges, colors, s)
-    mono = sum(per)
-    return EdgeCounts(per_color=tuple(per), mono=mono, bi=g.m - mono)
-
-
-def _per_color_counts(edges, colors: ColorAssignment, s: int) -> list[int]:
-    """Monochromatic edges per color 1..s under one coloring; the loop shared
-    by count() and the oracle's enumeration."""
+    if any(not 1 <= color <= s for color in colors):
+        raise ValueError(f"colors must lie in 1..{s}, got {min(colors)}..{max(colors)}")
     per = [0] * s
-    for u, v in edges:
+    for u, v in g.edges:
         cu = colors[u]
         if cu == colors[v]:
             per[cu - 1] += 1
-    return per
+    mono = sum(per)
+    return EdgeCounts(per_color=tuple(per), mono=mono, bi=g.m - mono)
 
 
 def count_batch(g: Graph, colors: np.ndarray) -> np.ndarray:

@@ -1,13 +1,15 @@
 """Brute-force ground truth by exhaustive enumeration of colorings.
 
-Walks every arrangement of the color multiset in lexicographic order and
-tabulates the joint distribution of the per-color monochromatic counts
-(M_1, ..., M_s).  Everything downstream of the closed-form moment formulas
-is validated against this module on small graphs; it is also the fallback
-for n < 4 where the variance formulas do not apply.
+`arrangements` builds every coloring of a composition once, as the rows of
+an integer table in lexicographic order.  Each check reads that table: the
+joint distribution of the per-color monochromatic counts (M_1, ..., M_s)
+and the frequency of block-coloring events.  Everything downstream of the
+closed-form moment formulas is validated against this module on small
+graphs; it is also the fallback for n < 4 where the variance formulas do
+not apply.
 
-The number of arrangements is n! / (c_1! ... c_s!), so enumeration is
-guarded by an explicit budget (default 10^7).
+A table has n! / (c_1! ... c_s!) rows, so its row count is capped by an
+explicit budget (default 10^7), which bounds memory as well as time.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 from . import moments
-from .coloring import Composition, _per_color_counts, prob_distinct_colors, prob_fixed_colors
-from .graph import Graph, complete, cycle, path, star, stats, threshold_graph
+from .coloring import Composition, _validate_sizes, prob_distinct_colors, prob_fixed_colors
+from .graph import Graph, GraphStats, complete, cycle, path, star, stats, threshold_graph
 from .seeds import stream
 
 DEFAULT_BUDGET = 10_000_000
@@ -39,15 +41,6 @@ def total_colorings(c: Composition) -> int:
     for ci in c.classes:
         out //= math.factorial(ci)
     return out
-
-
-def _check_budget(c: Composition, budget: int) -> int:
-    total = total_colorings(c)
-    if total > budget:
-        raise BudgetExceededError(
-            f"enumeration would visit {total} colorings, budget is {budget}"
-        )
-    return total
 
 
 def multiset_permutations(word: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -72,11 +65,21 @@ def multiset_permutations(word: Sequence[int]) -> Iterator[tuple[int, ...]]:
         arr[i + 1 :] = arr[size - 1 : i : -1]
 
 
-def _color_word(c: Composition) -> list[int]:
-    word = []
-    for color, ci in enumerate(c.classes, start=1):
-        word.extend([color] * ci)
-    return word
+def arrangements(c: Composition, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    """Every distinct coloring of c as one row of an (N, n) array of colors
+    1..s, rows in lexicographic order; N = total_colorings(c) <= budget."""
+    total = total_colorings(c)
+    if total > budget:
+        raise BudgetExceededError(
+            f"enumeration would visit {total} colorings, budget is {budget}"
+        )
+    word = [color for color, ci in enumerate(c.classes, start=1) for _ in range(ci)]
+    rows = multiset_permutations(word)
+    flat = np.fromiter(
+        itertools.chain.from_iterable(rows), dtype=np.min_scalar_type(c.s), count=total * c.n
+    )
+    assert next(rows, None) is None, "enumeration count does not match multinomial"
+    return flat.reshape(total, c.n)
 
 
 @dataclass(frozen=True)
@@ -90,23 +93,19 @@ class ExactDistribution:
         return Fraction(self.support.get(outcome, 0), self.total)
 
 
-def enumerate_colorings(
-    g: Graph, c: Composition, budget: int = DEFAULT_BUDGET
-) -> ExactDistribution:
-    """Exact joint distribution of per-color monochromatic counts on g."""
+def enumerate_colorings(g: Graph, c: Composition, table: np.ndarray) -> ExactDistribution:
+    """Exact joint distribution of per-color monochromatic counts on g,
+    over the rows of c's arrangement table."""
     if g.n != c.n:
         raise ValueError(f"composition covers {c.n} vertices but graph has {g.n}")
-    total = _check_budget(c, budget)
-    s = c.s
-    edges = g.edges
-    support: dict[tuple[int, ...], int] = {}
-    visited = 0
-    for colors in multiset_permutations(_color_word(c)):
-        key = tuple(_per_color_counts(edges, colors, s))
-        support[key] = support.get(key, 0) + 1
-        visited += 1
-    assert visited == total, "enumeration count does not match multinomial"
-    return ExactDistribution(support=support, total=total)
+    per_color = np.zeros((len(table), c.s), dtype=np.min_scalar_type(g.m))
+    for u, v in zip(g.u.tolist(), g.v.tolist()):
+        cu = table[:, u]
+        same = cu == table[:, v]
+        per_color[same, cu[same] - 1] += 1
+    outcomes, freq = np.unique(per_color, axis=0, return_counts=True)
+    support = dict(zip(map(tuple, outcomes.tolist()), freq.tolist()))
+    return ExactDistribution(support=support, total=len(table))
 
 
 @dataclass(frozen=True)
@@ -127,15 +126,17 @@ def exact_moments(dist: ExactDistribution, m: int) -> OracleMoments:
     edge count, needed to place L = m - M."""
     s = len(next(iter(dist.support)))
     total = dist.total
-    e1 = [Fraction(0)] * s
-    e2 = [[Fraction(0)] * s for _ in range(s)]
+    s1 = [0] * s
+    s2 = [[0] * s for _ in range(s)]
     for outcome, cnt in dist.support.items():
         for i in range(s):
-            e1[i] += Fraction(outcome[i] * cnt, total)
+            s1[i] += outcome[i] * cnt
             for j in range(s):
-                e2[i][j] += Fraction(outcome[i] * outcome[j] * cnt, total)
+                s2[i][j] += outcome[i] * outcome[j] * cnt
+    e1 = [Fraction(x, total) for x in s1]
     cov = tuple(
-        tuple(e2[i][j] - e1[i] * e1[j] for j in range(s)) for i in range(s)
+        tuple(Fraction(s2[i][j], total) - e1[i] * e1[j] for j in range(s))
+        for i in range(s)
     )
     mean_m = sum(e1, start=Fraction(0))
     var_m = sum(
@@ -154,18 +155,22 @@ def exact_moments(dist: ExactDistribution, m: int) -> OracleMoments:
 
 def event_frequency(
     c: Composition,
+    table: np.ndarray,
     sizes: Sequence[int],
     iota: Sequence[int] | None = None,
     sets: Sequence[Sequence[int]] | None = None,
-    budget: int = DEFAULT_BUDGET,
 ) -> Fraction:
-    """Exact probability of a block-coloring event, by enumeration.
+    """Exact probability of a block-coloring event, over the rows of c's
+    arrangement table.
 
     Blocks default to consecutive vertex ranges of the given sizes; the
     probability does not depend on that choice, and `sets` lets tests
     verify exactly that.  With `iota`, block j must be colored iota[j];
     without it, blocks must be monochromatic in pairwise distinct colors.
     """
+    _validate_sizes(c, sizes)
+    if iota is not None and len(iota) != len(sizes):
+        raise ValueError("iota must assign one color per block")
     if sets is None:
         sets = []
         start = 0
@@ -182,28 +187,17 @@ def event_frequency(
             raise ValueError("explicit sets must be disjoint")
         if any(not (0 <= v < c.n) for v in flat):
             raise ValueError(f"set vertices out of range for n={c.n}")
-    total = _check_budget(c, budget)
-    favorable = 0
-    for colors in multiset_permutations(_color_word(c)):
-        if iota is not None:
-            ok = all(
-                all(colors[v] == want for v in block)
-                for block, want in zip(sets, iota)
-            )
-        else:
-            block_colors = []
-            ok = True
-            for block in sets:
-                it = iter(block)
-                first = colors[next(it)]
-                if any(colors[v] != first for v in it):
-                    ok = False
-                    break
-                block_colors.append(first)
-            ok = ok and len(set(block_colors)) == len(block_colors)
-        if ok:
-            favorable += 1
-    return Fraction(favorable, total)
+    ok = np.ones(len(table), dtype=bool)
+    for block in sets:
+        cols = table[:, list(block)]
+        ok &= (cols == cols[:, :1]).all(axis=1)
+    block_colors = table[:, [block[0] for block in sets]]
+    if iota is not None:
+        ok &= (block_colors == np.asarray(iota)).all(axis=1)
+    else:
+        block_colors.sort(axis=1)
+        ok &= (block_colors[:, 1:] != block_colors[:, :-1]).all(axis=1)
+    return Fraction(int(np.count_nonzero(ok)), len(table))
 
 
 # ── verification harness ──────────────────────────────────────────────────
@@ -276,16 +270,15 @@ _DISTINCT_SHAPES = [
 
 
 def verify_formulas(
-    g: Graph, c: Composition, budget: int = DEFAULT_BUDGET
+    g: Graph, st: GraphStats, c: Composition, table: np.ndarray
 ) -> list[tuple[str, bool]]:
-    """Compare every closed-form moment on (g, c) with enumeration.
+    """Compare every closed-form moment on (g, c) with enumeration over c's
+    arrangement table; st is stats(g).
 
     Returns (formula name, exact match) pairs; variance formulas are
     skipped below n = 4 where they are defined to refuse.
     """
-    dist = enumerate_colorings(g, c, budget=budget)
-    om = exact_moments(dist, g.m)
-    st = stats(g)
+    om = exact_moments(enumerate_colorings(g, c, table), g.m)
     rows = []
     for i in range(1, c.s + 1):
         got = moments.mean_Mi(g.m, g.n, c.classes[i - 1])
@@ -303,23 +296,22 @@ def verify_formulas(
     return rows
 
 
-def verify_events(
-    c: Composition, budget: int = DEFAULT_BUDGET
-) -> list[tuple[str, bool]]:
-    """Compare the block-event probability formulas with enumeration."""
+def verify_events(c: Composition, table: np.ndarray) -> list[tuple[str, bool]]:
+    """Compare the block-event probability formulas with enumeration over
+    c's arrangement table."""
     rows = []
     n, s = c.n, c.s
     for sizes, iota in _FIXED_SHAPES:
         if sum(sizes) > n or len(sizes) > s or any(i > s for i in iota):
             continue
         got = prob_fixed_colors(c, sizes, iota)
-        want = event_frequency(c, sizes, iota=iota, budget=budget)
+        want = event_frequency(c, table, sizes, iota=iota)
         rows.append((f"prob_fixed{sizes}->{iota}", got == want))
     for sizes in _DISTINCT_SHAPES:
         if sum(sizes) > n or len(sizes) > s:
             continue
         got = prob_distinct_colors(c, sizes)
-        want = event_frequency(c, sizes, budget=budget)
+        want = event_frequency(c, table, sizes)
         rows.append((f"prob_distinct{sizes}", got == want))
     return rows
 
@@ -331,23 +323,25 @@ def run_verification(
 
     Yields (graph label, composition, formula, ok) rows; event-probability
     rows are graph-independent and reported once per composition under the
-    label "(any graph)".
+    label "(any graph)".  Each composition's arrangement table is built
+    once and read by every graph of its order.
     """
-    rows = []
     graphs = corpus_graphs(max_n=max_n)
+    graph_stats = [stats(g) for _, g in graphs]
     comps_by_n: dict[int, list[tuple[int, ...]]] = {}
     for n in sorted({g.n for _, g in graphs}):
         comps_by_n[n] = [
             parts for s in (2, 3) if s <= n for parts in compositions_of(n, s)
         ]
-    for label, g in graphs:
-        for parts in comps_by_n[g.n]:
-            c = Composition(parts)
-            for formula, ok in verify_formulas(g, c, budget=budget):
-                rows.append((label, parts, formula, ok))
+    graph_rows = [[] for _ in graphs]
+    event_rows = []
     for n, comps in comps_by_n.items():
         for parts in comps:
             c = Composition(parts)
-            for formula, ok in verify_events(c, budget=budget):
-                rows.append(("(any graph)", parts, formula, ok))
-    return rows
+            table = arrangements(c, budget)
+            for (label, g), st, out in zip(graphs, graph_stats, graph_rows):
+                if g.n == n:
+                    out.extend((label, parts, f, ok) for f, ok in verify_formulas(g, st, c, table))
+            event_rows.extend(("(any graph)", parts, f, ok) for f, ok in verify_events(c, table))
+            del table  # so the next table is built with this one freed
+    return [row for out in graph_rows for row in out] + event_rows

@@ -117,6 +117,12 @@ class TestCounting:
         got = count(path(3), (1, 1, 1), s=3)
         assert got.per_color == (2, 0, 0)
 
+    def test_colors_outside_range_refused(self):
+        with pytest.raises(ValueError, match=r"1\.\.1"):
+            count(path(3), (0, 0, 1))
+        with pytest.raises(ValueError, match=r"1\.\.2"):
+            count(path(3), (1, 1, 3), s=2)
+
     def test_batch_matches_scalar(self):
         g = path(6)
         c = Composition((3, 2, 1))

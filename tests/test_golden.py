@@ -3,6 +3,7 @@ lists of the deterministic generators, against committed reference files
 in tests/golden/.  Seeded Monte Carlo commands are left out: their bytes
 depend on numpy's random streams."""
 
+import hashlib
 import io
 from pathlib import Path
 
@@ -57,6 +58,14 @@ OUT_FILE_CASES = [
 def test_stdout_matches_golden(capsys, argv, golden):
     assert main(list(argv)) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_oracle_verify_max8_digest(capsys):
+    """The max-8 sweep builds 3-class tables with n >= 6, which the max-5
+    file never does; its 6306 lines are pinned by their sha256."""
+    assert main(["oracle-verify", "--max-n", "8"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == (GOLDEN / "oracle_verify_max8.sha256").read_text(encoding="utf-8").strip()
 
 
 @pytest.mark.parametrize("argv, golden", OUT_FILE_CASES, ids=[g for _, g in OUT_FILE_CASES])

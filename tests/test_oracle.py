@@ -5,12 +5,16 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from colorstats.coloring import Composition, prob_distinct_colors
-from colorstats.graph import path, stats
+from colorstats import oracle
+from colorstats.coloring import Composition, count, prob_distinct_colors
+from colorstats.graph import Graph, path, stats
 from colorstats.moments import mean_M_L, var_common
 from colorstats.oracle import (
     BudgetExceededError,
+    arrangements,
     compositions_of,
     corpus_graphs,
     enumerate_colorings,
@@ -45,29 +49,74 @@ class TestTotals:
         assert total_colorings(Composition((2, 2))) == 6
         assert total_colorings(Composition((3, 2, 1))) == 60
 
-    def test_budget_guard(self):
-        g = path(10)
+    def test_budget_guard(self, monkeypatch):
+        def refuse(word):
+            raise AssertionError("a row was built past the budget")
+
+        monkeypatch.setattr(oracle, "multiset_permutations", refuse)
         c = Composition((5, 5))
         with pytest.raises(BudgetExceededError, match="252"):
-            enumerate_colorings(g, c, budget=100)
+            arrangements(c, budget=100)
         with pytest.raises(BudgetExceededError):
-            event_frequency(Composition((2, 2)), (2,), iota=(1,), budget=2)
+            arrangements(Composition((2, 2)), budget=2)
 
     def test_size_mismatch(self):
+        c = Composition((2, 1))
         with pytest.raises(ValueError, match="covers"):
-            enumerate_colorings(path(4), Composition((2, 1)))
+            enumerate_colorings(path(4), c, arrangements(c))
+
+
+def _word(c):
+    return [color for color, ci in enumerate(c.classes, start=1) for _ in range(ci)]
+
+
+@st.composite
+def graph_and_composition(draw):
+    n = draw(st.integers(2, 7))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    s = draw(st.integers(2, min(3, n)))
+    parts = draw(st.sampled_from(list(compositions_of(n, s))))
+    return Graph.from_edges(n, edges), Composition(parts)
+
+
+class TestArrangements:
+    def test_rows_are_the_multiset_permutations(self):
+        for n in range(2, 7):
+            for s in range(2, n + 1):
+                for parts in compositions_of(n, s):
+                    c = Composition(parts)
+                    table = arrangements(c)
+                    want = [list(row) for row in multiset_permutations(_word(c))]
+                    assert table.shape == (total_colorings(c), n)
+                    assert table.tolist() == want
+                    assert want == sorted(want)
+                    assert len({tuple(row) for row in want}) == len(want)
+
+    @given(graph_and_composition())
+    def test_distribution_matches_scalar_count(self, case):
+        g, c = case
+        want: dict[tuple[int, ...], int] = {}
+        for colors in multiset_permutations(_word(c)):
+            key = count(g, colors, c.s).per_color
+            want[key] = want.get(key, 0) + 1
+        dist = enumerate_colorings(g, c, arrangements(c))
+        assert dist.support == want
+        assert dist.total == sum(want.values())
 
 
 class TestExactDistribution:
     def test_path3_distribution(self):
-        dist = enumerate_colorings(path(3), Composition((2, 1)))
+        c = Composition((2, 1))
+        dist = enumerate_colorings(path(3), c, arrangements(c))
         assert dist.total == 3
         assert dist.support == {(1, 0): 2, (0, 0): 1}
         assert dist.prob((1, 0)) == Fraction(2, 3)
         assert dist.prob((5, 5)) == 0
 
     def test_path3_moments(self):
-        dist = enumerate_colorings(path(3), Composition((2, 1)))
+        c = Composition((2, 1))
+        dist = enumerate_colorings(path(3), c, arrangements(c))
         om = exact_moments(dist, m=2)
         assert om.mean_Mi == (Fraction(2, 3), Fraction(0))
         assert om.var_Mi == (Fraction(2, 9), Fraction(0))
@@ -79,7 +128,7 @@ class TestExactDistribution:
     def test_agrees_with_closed_forms(self):
         g = path(4)
         c = Composition((2, 2))
-        om = exact_moments(enumerate_colorings(g, c), g.m)
+        om = exact_moments(enumerate_colorings(g, c, arrangements(c)), g.m)
         mean_m, mean_l = mean_M_L(g.m, c)
         assert om.mean_M == mean_m and om.mean_L == mean_l
         assert om.var_M == var_common(stats(g), c) == Fraction(2, 3)
@@ -87,7 +136,7 @@ class TestExactDistribution:
     def test_covariance_sums_to_total_variance(self):
         g = path(5)
         c = Composition((2, 2, 1))
-        om = exact_moments(enumerate_colorings(g, c), g.m)
+        om = exact_moments(enumerate_colorings(g, c, arrangements(c)), g.m)
         s = len(om.mean_Mi)
         total = sum(
             (om.cov_Mi[i][j] for i in range(s) for j in range(s)),
@@ -99,26 +148,33 @@ class TestExactDistribution:
 class TestEventFrequency:
     def test_matches_formula(self):
         c = Composition((3, 2))
-        got = event_frequency(c, (2, 1))
+        got = event_frequency(c, arrangements(c), (2, 1))
         assert got == prob_distinct_colors(c, (2, 1))
 
     def test_block_choice_is_irrelevant(self):
         c = Composition((2, 2, 1))
-        default = event_frequency(c, (2, 1))
-        scattered = event_frequency(c, (2, 1), sets=[(4, 1), (2,)])
+        table = arrangements(c)
+        default = event_frequency(c, table, (2, 1))
+        scattered = event_frequency(c, table, (2, 1), sets=[(4, 1), (2,)])
         assert default == scattered
-        fixed_default = event_frequency(c, (2,), iota=(2,))
-        fixed_scattered = event_frequency(c, (2,), iota=(2,), sets=[(0, 3)])
+        fixed_default = event_frequency(c, table, (2,), iota=(2,))
+        fixed_scattered = event_frequency(c, table, (2,), iota=(2,), sets=[(0, 3)])
         assert fixed_default == fixed_scattered
 
     def test_set_validation(self):
         c = Composition((2, 2))
+        table = arrangements(c)
         with pytest.raises(ValueError, match="disjoint"):
-            event_frequency(c, (2, 1), sets=[(0, 1), (1,)])
+            event_frequency(c, table, (2, 1), sets=[(0, 1), (1,)])
         with pytest.raises(ValueError, match="match"):
-            event_frequency(c, (2, 1), sets=[(0, 1, 2), (3,)])
+            event_frequency(c, table, (2, 1), sets=[(0, 1, 2), (3,)])
         with pytest.raises(ValueError, match="range"):
-            event_frequency(c, (2,), iota=(1,), sets=[(0, 9)])
+            event_frequency(c, table, (2,), iota=(1,), sets=[(0, 9)])
+        c = Composition((2, 2, 1))
+        with pytest.raises(ValueError, match="one color per block"):
+            event_frequency(c, arrangements(c), (2, 1), iota=(1,))
+        with pytest.raises(ValueError, match="do not fit"):
+            event_frequency(c, arrangements(c), (5, 1))
 
 
 class TestCompositionsOf:
@@ -153,13 +209,15 @@ class TestCorpus:
 
 class TestVerification:
     def test_formula_rows_all_pass(self):
-        rows = verify_formulas(path(5), Composition((2, 2, 1)))
+        g, c = path(5), Composition((2, 2, 1))
+        rows = verify_formulas(g, stats(g), c, arrangements(c))
         names = [name for name, _ in rows]
         assert "var_common" in names and "mean_M" in names
         assert all(ok for _, ok in rows)
 
     def test_event_rows_all_pass(self):
-        rows = verify_events(Composition((3, 2)))
+        c = Composition((3, 2))
+        rows = verify_events(c, arrangements(c))
         assert len(rows) >= 6
         assert all(ok for _, ok in rows)
 
@@ -168,3 +226,29 @@ class TestVerification:
         assert len(rows) > 200
         bad = [r for r in rows if not r[3]]
         assert bad == []
+
+    def test_one_table_per_composition(self, monkeypatch):
+        built = []
+
+        def counted(c, budget=oracle.DEFAULT_BUDGET):
+            built.append(c.classes)
+            return arrangements(c, budget)
+
+        monkeypatch.setattr(oracle, "arrangements", counted)
+        run_verification(max_n=6)
+        want = [
+            parts for n in range(4, 7) for s in (2, 3) for parts in compositions_of(n, s)
+        ]
+        assert sorted(built) == sorted(want)
+        assert len(set(built)) == len(built)
+
+    def test_stats_once_per_graph(self, monkeypatch):
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return stats(g)
+
+        monkeypatch.setattr(oracle, "stats", counted)
+        run_verification(max_n=5)
+        assert len(calls) == len(corpus_graphs(max_n=5))
