@@ -18,12 +18,11 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import experiments, oracle, randgraph
 from .coloring import Composition
 from .graph import EdgeListError, graph_from_spec, load_edge_list, write_text
-from .moments import full_report, rat_json
+from .moments import full_report, record_json
 from .oracle import BudgetExceededError
 
 
@@ -56,7 +55,7 @@ def _cmd_moments(args) -> int:
     g = _graph_arg(args.graph)
     c = _classes_arg(args.classes, g.n)
     report = full_report(g, c)
-    write_text(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
+    write_text(json.dumps(record_json(report), indent=2) + "\n", args.out)
     return 0
 
 
@@ -79,7 +78,7 @@ def _cmd_simulate(args) -> int:
     g = _graph_arg(args.graph)
     c = _classes_arg(args.classes, g.n)
     record = experiments.run_comparison(g, c, trials=args.trials, seed=args.seed)
-    write_text(json.dumps(record.to_json_dict(), indent=2) + "\n", args.out)
+    write_text(json.dumps(record_json(record), indent=2) + "\n", args.out)
     ok = record.mean_ok and record.var_ok
     if not ok:
         print("empirical moments fell outside the 4-SE band", file=sys.stderr)
@@ -107,36 +106,24 @@ def _cmd_regime(args) -> int:
     return 0
 
 
-def _rat_or_float_json(x):
-    if x is None:
-        return None
-    if isinstance(x, Fraction):
-        return rat_json(x)
-    return x
-
-
 def _cmd_rdcheck(args) -> int:
     template = randgraph.parse_model_template(args.model)
     if args.grid is not None:
         grid = _grid_arg(args.grid)
     else:
         grid = (template(None).n,)
+    if (args.mode != "closed" or args.star_check) and args.trials < 2:
+        raise ValueError(f"need at least 2 trials, got {args.trials}")
     modes = {"closed": ["closed_form"], "mc": ["monte_carlo"], "both": ["closed_form", "monte_carlo"]}[args.mode]
     payload: dict = {"model": args.model, "grid": list(grid)}
     for mode in modes:
         result = randgraph.ratio_over_grid(
             template, grid, mode=mode, trials=args.trials, seed=args.seed
         )
-        points = []
-        for pt in result.points:
-            entry = {
-                "n": pt.n,
-                "ratio": _rat_or_float_json(pt.ratio),
-                "ratio_float": None if pt.ratio is None else float(pt.ratio),
-                "ratio_se": pt.ratio_se,
-                "post_erasure_ratio": pt.post_erasure_ratio,
-            }
-            points.append(entry)
+        points = [
+            record_json(pt, ("n", "ratio", "ratio_se", "post_erasure_ratio"))
+            for pt in result.points
+        ]
         payload[mode] = {"points": points, "verdict": result.verdict}
         label = "closed" if mode == "closed_form" else "mc"
         for pt in result.points:

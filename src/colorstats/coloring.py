@@ -135,8 +135,11 @@ def count(g: Graph, colors: ColorAssignment, s: int | None = None) -> EdgeCounts
 
     `s` fixes the length of per_color; by default the largest color present
     is used, which undercounts classes only when a trailing color is unused.
-    A color outside 1..s is refused.
+    A color outside 1..s, or a coloring without one entry per vertex, is
+    refused.
     """
+    if len(colors) != g.n:
+        raise ValueError(f"coloring has {len(colors)} entries, graph has n={g.n}")
     if s is None:
         s = max(colors, default=0)
     if any(not 1 <= color <= s for color in colors):

@@ -7,14 +7,14 @@ per grid point, optionally adds empirical moments from sampled colorings,
 and classifies the predicted regime; run_comparison checks one cell's
 empirical moments against the exact formulas at 4 standard errors.
 
-All emission is deterministic: rationals are written as {"num", "den"}
-objects with float mirrors alongside, in a fixed field order.
+Emission is deterministic and follows the record's dataclass fields
+(moments.record_json, moments.records_csv): keys or columns come in field
+order, and every rational is written as {"num", "den"} followed by its
+float mirror, or as num, den and float columns in CSV.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -25,8 +25,8 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from .coloring import Composition, count_batch, sample_batch
-from .graph import Graph, graph_template, write_text
-from .moments import full_report, pz_lower_bound, rat_json
+from .graph import Graph, graph_template, parse_rational, write_text
+from .moments import full_report, pz_lower_bound, record_json, records_csv
 from .randgraph import MODEL_PARAMS, ModelSpec, fit_power_law, generate, parse_model_template
 from .seeds import stream
 
@@ -50,7 +50,7 @@ def parse_coloring_rule(text: str) -> Callable[[int], Composition]:
             raise ValueError("balanced rule needs a class count, e.g. balanced:2")
         s_int = int(s)
         return lambda n: Composition.balanced(n, s_int)
-    ratios = tuple(Fraction(tok) for tok in text.split(","))
+    ratios = tuple(parse_rational(tok) for tok in text.split(","))
     return lambda n: Composition.from_ratios(n, ratios)
 
 
@@ -179,6 +179,8 @@ def run_regime(
     monochromatic count (for random families: over fresh graphs per trial).
     Work is keyed by (seed, n), so the output is independent of `threads`.
     """
+    if trials != 0 and trials < 2:
+        raise ValueError(f"trials must be 0 (exact only) or at least 2, got {trials}")
     grid = family.grid
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -235,24 +237,6 @@ class ComparisonRecord:
     mean_ok: bool
     var_ok: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "classes": list(self.classes),
-            "trials": self.trials,
-            "exact_mean": rat_json(self.exact_mean),
-            "exact_mean_float": float(self.exact_mean),
-            "exact_var": rat_json(self.exact_var),
-            "exact_var_float": float(self.exact_var),
-            "empirical_mean": self.empirical_mean,
-            "empirical_var": self.empirical_var,
-            "se_mean": self.se_mean,
-            "se_var": self.se_var,
-            "mean_ok": self.mean_ok,
-            "var_ok": self.var_ok,
-        }
-
 
 def run_comparison(
     g: Graph, c: Composition, trials: int, seed: int
@@ -297,70 +281,13 @@ def run_comparison(
 
 # ── emission ──────────────────────────────────────────────────────────────
 
-_RATIONAL_FIELDS = (
-    "zeta_sq",
-    "rho",
-    "imbalance_sq",
-    "normalized_var",
-    "rho_zeta_product",
-    "pz_bound",
-)
-
-# fixed CSV header: n, then num/den/float triples per rational field, then
-# the empirical columns (blank when absent) and the regime label
-REGIME_CSV_COLUMNS = (
-    ("n",)
-    + tuple(
-        f"{name}_{part}" for name in _RATIONAL_FIELDS for part in ("num", "den", "float")
-    )
-    + ("empirical_mean", "empirical_var", "predicted_regime")
-)
-
-
-def regime_row_to_json(row: RegimeRow) -> dict:
-    out: dict = {"n": row.n}
-    for name in _RATIONAL_FIELDS:
-        val = getattr(row, name)
-        out[name] = rat_json(val)
-        out[name + "_float"] = float(val)
-    out["empirical_mean"] = row.empirical_mean
-    out["empirical_var"] = row.empirical_var
-    out["predicted_regime"] = row.predicted_regime
-    return out
-
-
-def regime_row_from_json(obj: dict) -> RegimeRow:
-    kwargs = {"n": obj["n"]}
-    for name in _RATIONAL_FIELDS:
-        kwargs[name] = Fraction(obj[name]["num"], obj[name]["den"])
-    kwargs["empirical_mean"] = obj["empirical_mean"]
-    kwargs["empirical_var"] = obj["empirical_var"]
-    kwargs["predicted_regime"] = obj["predicted_regime"]
-    return RegimeRow(**kwargs)
-
 
 def emit(rows: Sequence[RegimeRow], fmt: str, path_or_file) -> None:
     """Write rows as a JSON array or CSV table; output is deterministic."""
     if fmt == "json":
-        text = json.dumps([regime_row_to_json(r) for r in rows], indent=2) + "\n"
+        text = json.dumps([record_json(r) for r in rows], indent=2) + "\n"
     elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(REGIME_CSV_COLUMNS)
-        for row in rows:
-            record = [row.n]
-            for name in _RATIONAL_FIELDS:
-                val = getattr(row, name)
-                record.extend([val.numerator, val.denominator, float(val)])
-            record.append("" if row.empirical_mean is None else row.empirical_mean)
-            record.append("" if row.empirical_var is None else row.empirical_var)
-            record.append(row.predicted_regime)
-            writer.writerow(record)
-        text = buf.getvalue()
+        text = records_csv(RegimeRow, rows)
     else:
         raise ValueError(f"format must be json or csv, got {fmt!r}")
     write_text(text, path_or_file)
-
-
-def parse_rows_json(text: str) -> list[RegimeRow]:
-    return [regime_row_from_json(obj) for obj in json.loads(text)]

@@ -213,6 +213,14 @@ def parse_params(rest: str) -> dict[str, str]:
     return out
 
 
+def parse_rational(tok: str) -> Fraction:
+    """Fraction from a decimal or p/q token; a zero denominator is a ValueError."""
+    try:
+        return Fraction(tok)
+    except ZeroDivisionError:
+        raise ValueError(f"{tok.strip()!r} has a zero denominator") from None
+
+
 def graph_template(spec: str) -> Callable[[int | None], Graph]:
     """Graph family from a compact string; n is supplied at call time.
 

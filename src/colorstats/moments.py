@@ -14,7 +14,10 @@ in the oracle module instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import csv
+import io
+from collections.abc import Iterable, Sequence
+from dataclasses import Field, dataclass, fields
 from fractions import Fraction
 
 from .coloring import Composition, imbalance
@@ -135,34 +138,64 @@ class MomentReport:
     imbalance_sq: Fraction
     normalized_var: Fraction
 
-    def to_json_dict(self) -> dict:
-        """Flat JSON object; rationals as {"num", "den"} plus float mirrors."""
-        out: dict = {"n": self.n, "m": self.m, "classes": list(self.classes)}
-        for name in ("per_color_mean", "per_color_var"):
-            vals = getattr(self, name)
-            out[name] = [rat_json(x) for x in vals]
-            out[name + "_float"] = [float(x) for x in vals]
-        for name in (
-            "mean_M",
-            "mean_L",
-            "var_common",
-            "a_c",
-            "b_c",
-            "rho",
-            "zeta_sq",
-            "imbalance_sq",
-            "normalized_var",
-        ):
-            val = getattr(self, name)
-            out[name] = rat_json(val)
-            out[name + "_float"] = float(val)
-        return out
+
+def _is_rational(f: Field) -> bool:
+    # str() covers both string annotations and evaluated types
+    return "Fraction" in str(f.type)
 
 
-def rat_json(x: Fraction) -> dict:
-    """Exact JSON encoding of a rational."""
+def _rational(x: Fraction | float | None):
+    if x is None or isinstance(x, float):
+        return x
     f = Fraction(x)
     return {"num": f.numerator, "den": f.denominator}
+
+
+def record_json(rec, names: Sequence[str] | None = None) -> dict:
+    """A dataclass record as a JSON-ready dict, fields in declaration order.
+
+    A field declared with Fraction (alone, in a tuple or in a union) is
+    written as {"num", "den"}, or a list of them for a tuple, followed by a
+    "<name>_float" mirror; a float or None in such a field is written as
+    is, with float(x) or None as its mirror.  Other tuples become lists;
+    everything else is written as is.  `names` keeps only those fields.
+    """
+    out: dict = {}
+    for f in fields(rec):
+        if names is not None and f.name not in names:
+            continue
+        val = getattr(rec, f.name)
+        if not _is_rational(f):
+            out[f.name] = list(val) if isinstance(val, tuple) else val
+        elif isinstance(val, tuple):
+            out[f.name] = [_rational(x) for x in val]
+            out[f.name + "_float"] = [float(x) for x in val]
+        else:
+            out[f.name] = _rational(val)
+            out[f.name + "_float"] = None if val is None else float(val)
+    return out
+
+
+def records_csv(cls: type, recs: Iterable) -> str:
+    """CSV table of records of dataclass cls: the values of record_json,
+    with each rational split into "<name>_num" and "<name>_den" columns
+    ahead of its float mirror.  None becomes an empty cell."""
+    rational = {f.name for f in fields(cls) if _is_rational(f)}
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")  # writes None as ""
+    header = []
+    for f in fields(cls):
+        header += [f.name + p for p in ("_num", "_den", "_float")] if f.name in rational else [f.name]
+    writer.writerow(header)
+    for rec in recs:
+        row = []
+        for key, val in record_json(rec).items():
+            if key in rational:
+                row += [val["num"], val["den"]] if isinstance(val, dict) else [None, None]
+            else:
+                row.append(val)
+        writer.writerow(row)
+    return buf.getvalue()
 
 
 def full_report(g: Graph, c: Composition) -> MomentReport:

@@ -24,7 +24,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .graph import Graph, parse_params
+from .graph import Graph, parse_params, parse_rational
 from .seeds import stream
 
 # Grid verdict thresholds.  "concentrates": fitted power-law exponent of the
@@ -633,7 +633,7 @@ def _parse_law(text: str) -> DegreeLaw:
         if not sep:
             raise ValueError(f"degree law entries are value:prob, got {pair!r}")
         values.append(int(v))
-        probs.append(Fraction(p))
+        probs.append(parse_rational(p))
     return DegreeLaw(tuple(values), tuple(probs))
 
 
@@ -644,7 +644,7 @@ def _load_weights(path: str) -> tuple:
         raise ValueError(f"weight file {path!r} is empty")
     out = []
     for tok in tokens:
-        f = Fraction(tok)
+        f = parse_rational(tok)
         out.append(int(f) if f.denominator == 1 else f)
     return tuple(out)
 

@@ -10,7 +10,8 @@ import pytest
 
 from colorstats.cli import main
 from colorstats.coloring import Composition
-from colorstats.experiments import FamilySpec, parse_rows_json, run_regime
+from colorstats.experiments import FamilySpec, run_regime
+from colorstats.moments import record_json
 
 
 def run(capsys, *argv):
@@ -94,6 +95,39 @@ class TestBadInput:
         assert exc.value.code == 2
         assert "expected a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["classes", "law", "weights"])
+    def test_zero_denominator_exits_2(self, capsys, tmp_path, kind):
+        weights = tmp_path / "w.txt"
+        weights.write_text("1 2\n1/0\n")
+        argv = {
+            "classes": ["regime", "--family", "star", "--classes", "1/0,1", "--grid", "8",
+                        "--out", str(tmp_path / "rows.json")],
+            "law": ["rdcheck", "--model", "config:n=50,law=3:1/0"],
+            "weights": ["rdcheck", "--model", f"cl:n=3,w={weights}"],
+        }[kind]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:") and "'1/0'" in err
+
+    @pytest.mark.parametrize("trials", ["1", "-3"])
+    def test_regime_trial_count_refused(self, capsys, tmp_path, trials):
+        target = tmp_path / "rows.json"
+        code, out, err = run(
+            capsys,
+            "regime", "--family", "star", "--classes", "3/4,1/4", "--grid", "40",
+            "--trials", trials, "--out", str(target),
+        )
+        assert code == 2 and "at least 2" in err
+        assert out == "" and not target.exists()
+
+    @pytest.mark.parametrize("flags", [("--star-check",), ("--mode", "both"), ("--mode", "mc")])
+    def test_rdcheck_trial_count_checked_before_output(self, capsys, flags):
+        code, out, err = run(
+            capsys, "rdcheck", "--model", "starlike", "--grid", "100,200", "--trials", "1", *flags
+        )
+        assert code == 2 and "at least 2" in err
+        assert out == ""
+
     def test_bad_thread_env_ignored_without_threads_option(self, capsys, monkeypatch):
         monkeypatch.setenv("COLORSTATS_THREADS", "abc")
         code, _, _ = run(capsys, "moments", "--graph", "star:8", "--classes", "5,3")
@@ -176,7 +210,7 @@ class TestRegime:
         assert code == 0
         fam = FamilySpec(graph="cycle", coloring="balanced:2", grid=(50, 100))
         want = run_regime(fam, trials=30, seed=5)
-        assert parse_rows_json(target.read_text()) == want
+        assert json.loads(target.read_text()) == [record_json(r) for r in want]
 
     def test_thread_env_does_not_change_bytes(self, capsys, tmp_path, monkeypatch):
         args = (
@@ -243,6 +277,10 @@ class TestRdcheck:
         assert mc_points[0]["post_erasure_ratio"] is not None
         assert payload["star_check"]["holds"] is True
         assert "size-variance check" in out
+        for mode in ("closed_form", "monte_carlo"):
+            assert list(payload[mode]["points"][0]) == [
+                "n", "ratio", "ratio_float", "ratio_se", "post_erasure_ratio"
+            ]
 
     def test_default_grid_from_model(self, capsys):
         code, out, _ = run(capsys, "rdcheck", "--model", "gnp:n=60,p=1/4")

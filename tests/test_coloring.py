@@ -123,6 +123,11 @@ class TestCounting:
         with pytest.raises(ValueError, match=r"1\.\.2"):
             count(path(3), (1, 1, 3), s=2)
 
+    @pytest.mark.parametrize("colors", [(1, 1, 1, 2), (1, 1)])
+    def test_coloring_length_must_match_order(self, colors):
+        with pytest.raises(ValueError, match="n=3"):
+            count(path(3), colors)
+
     def test_batch_matches_scalar(self):
         g = path(6)
         c = Composition((3, 2, 1))

@@ -8,20 +8,20 @@ import pytest
 
 from colorstats.coloring import Composition
 from colorstats.experiments import (
-    REGIME_CSV_COLUMNS,
     FamilySpec,
     emit,
     parse_coloring_rule,
-    parse_rows_json,
-    regime_row_from_json,
-    regime_row_to_json,
     run_comparison,
     run_regime,
 )
 from colorstats.graph import path, star
+from colorstats.moments import record_json
 
 STAR_SKEWED = FamilySpec(graph="star", coloring="3/4,1/4", grid=(40, 100, 250))
 CYCLE_BALANCED = FamilySpec(graph="cycle", coloring="balanced:2", grid=(50, 100, 200))
+RATIONAL_FIELDS = (
+    "zeta_sq", "rho", "imbalance_sq", "normalized_var", "rho_zeta_product", "pz_bound"
+)
 
 
 class TestParsing:
@@ -76,7 +76,7 @@ class TestComparison:
 
     def test_json_fields(self):
         rec = run_comparison(path(5), Composition((3, 2)), trials=100, seed=3)
-        d = rec.to_json_dict()
+        d = record_json(rec)
         assert d["exact_mean"] == {"num": 8, "den": 5}
         assert d["trials"] == 100
         assert isinstance(d["var_ok"], bool)
@@ -144,8 +144,13 @@ class TestEmission:
         rows = run_regime(STAR_SKEWED, trials=50, seed=9)
         buf = io.StringIO()
         emit(rows, "json", buf)
-        back = parse_rows_json(buf.getvalue())
-        assert back == rows
+        back = json.loads(buf.getvalue())
+        assert back == [record_json(r) for r in rows]
+        for obj, row in zip(back, rows):
+            for name in RATIONAL_FIELDS:
+                assert Fraction(obj[name]["num"], obj[name]["den"]) == getattr(row, name)
+            assert obj["empirical_mean"] == row.empirical_mean
+            assert obj["empirical_var"] == row.empirical_var
 
     def test_json_round_trip_without_empirical(self):
         rows = run_regime(CYCLE_BALANCED)
@@ -153,21 +158,30 @@ class TestEmission:
         emit(rows, "json", buf)
         payload = json.loads(buf.getvalue())
         assert payload[0]["empirical_mean"] is None
-        assert parse_rows_json(buf.getvalue()) == rows
+        assert payload == [record_json(r) for r in rows]
 
     def test_json_structure(self):
         row = run_regime(CYCLE_BALANCED)[0]
-        obj = regime_row_to_json(row)
+        obj = record_json(row)
         assert obj["zeta_sq"] == {"num": 2, "den": 25}
         assert obj["zeta_sq_float"] == 0.08
-        assert regime_row_from_json(obj) == row
+        assert list(obj) == ["n"] + [
+            key for name in RATIONAL_FIELDS for key in (name, name + "_float")
+        ] + ["empirical_mean", "empirical_var", "predicted_regime"]
 
     def test_csv_layout(self):
         rows = run_regime(CYCLE_BALANCED)
         buf = io.StringIO()
         emit(rows, "csv", buf)
         lines = buf.getvalue().splitlines()
-        assert lines[0] == ",".join(REGIME_CSV_COLUMNS)
+        assert lines[0] == (
+            "n,zeta_sq_num,zeta_sq_den,zeta_sq_float,rho_num,rho_den,rho_float,"
+            "imbalance_sq_num,imbalance_sq_den,imbalance_sq_float,"
+            "normalized_var_num,normalized_var_den,normalized_var_float,"
+            "rho_zeta_product_num,rho_zeta_product_den,rho_zeta_product_float,"
+            "pz_bound_num,pz_bound_den,pz_bound_float,"
+            "empirical_mean,empirical_var,predicted_regime"
+        )
         assert len(lines) == 1 + len(rows)
         first = lines[1].split(",")
         assert first[0] == "50"
@@ -190,7 +204,7 @@ class TestEmission:
         rows = run_regime(CYCLE_BALANCED)
         target = tmp_path / "rows.json"
         emit(rows, "json", target)
-        assert parse_rows_json(target.read_text()) == rows
+        assert json.loads(target.read_text()) == [record_json(r) for r in rows]
 
     def test_bad_format(self):
         with pytest.raises(ValueError, match="format"):

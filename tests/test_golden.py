@@ -1,7 +1,7 @@
 """Byte-for-byte CLI output of exact-only commands, and the saved edge
 lists of the deterministic generators, against committed reference files
-in tests/golden/.  Seeded Monte Carlo commands are left out: their bytes
-depend on numpy's random streams."""
+in tests/golden/.  Seeded Monte Carlo commands are left out, because their
+bytes depend on numpy's random streams, except for a zero-variance cell."""
 
 import hashlib
 import io
@@ -29,6 +29,10 @@ STDOUT_CASES = [
         "moments_circulant12_d3_balanced3.json",
     ),
     (("oracle-verify", "--max-n", "5"), "oracle_verify_max5.txt"),
+    # zero-variance cell: every draw gives the same M, so the bytes do not
+    # depend on the random stream
+    (("simulate", "--graph", "star:8", "--classes", "4,4", "--trials", "500"),
+     "simulate_star8_4_4.json"),
 ]
 
 OUT_FILE_CASES = [

@@ -1,5 +1,8 @@
 """Exact moment formulas: frozen values and structural identities."""
 
+from __future__ import annotations
+
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -22,6 +25,8 @@ from colorstats.moments import (
     mean_M_L,
     mean_Mi,
     pz_lower_bound,
+    record_json,
+    records_csv,
     rho,
     var_common,
     var_Mi,
@@ -181,10 +186,39 @@ class TestFullReport:
 
     def test_json_round_trip(self):
         rep = full_report(star(6), Composition((4, 2)))
-        d = rep.to_json_dict()
+        d = record_json(rep)
         assert Fraction(d["var_common"]["num"], d["var_common"]["den"]) == rep.var_common
         assert d["var_common_float"] == float(rep.var_common)
         assert d["classes"] == [4, 2]
         assert len(d["per_color_mean"]) == 2
         got = Fraction(d["per_color_var"][1]["num"], d["per_color_var"][1]["den"])
         assert got == rep.per_color_var[1]
+
+
+@dataclass(frozen=True)
+class _Point:
+    label: str
+    exact: Fraction | float | None
+    se: float | None
+
+
+class TestRecordEncoder:
+    def test_union_field_keeps_floats_and_nulls(self):
+        rows = [_Point("a", Fraction(3, 4), None), _Point("b", 0.5, 0.1), _Point("c", None, None)]
+        assert [record_json(r) for r in rows] == [
+            {"label": "a", "exact": {"num": 3, "den": 4}, "exact_float": 0.75, "se": None},
+            {"label": "b", "exact": 0.5, "exact_float": 0.5, "se": 0.1},
+            {"label": "c", "exact": None, "exact_float": None, "se": None},
+        ]
+
+    def test_names_keep_declaration_order(self):
+        got = record_json(_Point("a", Fraction(1, 3), 0.2), ("se", "exact"))
+        assert list(got) == ["exact", "exact_float", "se"]
+
+    def test_csv_splits_rationals_and_blanks_nulls(self):
+        rows = [_Point("a", Fraction(-3, 4), None), _Point("c", None, 0.25)]
+        assert records_csv(_Point, rows).splitlines() == [
+            "label,exact_num,exact_den,exact_float,se",
+            "a,-3,4,-0.75,",
+            "c,,,,0.25",
+        ]
