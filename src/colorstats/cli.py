@@ -21,7 +21,7 @@ import sys
 
 from . import experiments, oracle, randgraph
 from .coloring import Composition
-from .graph import EdgeListError, graph_from_spec, load_edge_list, write_text
+from .graph import graph_from_spec, load_edge_list, write_text
 from .moments import full_report, record_json
 from .oracle import BudgetExceededError
 
@@ -217,7 +217,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, EdgeListError, BudgetExceededError, OSError, MemoryError) as exc:
+    except (ValueError, BudgetExceededError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

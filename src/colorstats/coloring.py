@@ -112,11 +112,11 @@ class EdgeCounts:
     bi: int
 
 
-def sample(c: Composition, rng: np.random.Generator) -> tuple[int, ...]:
-    """One uniform coloring: a shuffle of the color multiset."""
+def sample(c: Composition, rng: np.random.Generator) -> np.ndarray:
+    """One uniform coloring: a shuffle of the color multiset, as int64."""
     base = np.repeat(np.arange(1, c.s + 1, dtype=np.int64), c.classes)
     rng.shuffle(base)
-    return tuple(int(x) for x in base)
+    return base
 
 
 def sample_batch(c: Composition, trials: int, rng: np.random.Generator) -> np.ndarray:

@@ -24,7 +24,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .coloring import Composition, count_batch, sample_batch
+from .coloring import Composition, count_batch, sample, sample_batch
 from .graph import Graph, graph_template, parse_rational, write_text
 from .moments import full_report, pz_lower_bound, record_json, records_csv
 from .randgraph import MODEL_PARAMS, ModelSpec, fit_power_law, generate, parse_model_template
@@ -112,14 +112,11 @@ def _empirical_fixed(g: Graph, c: Composition, trials: int, rng) -> tuple[float,
 def _empirical_random(
     model: ModelSpec, c: Composition, trials: int, seed: int, n: int
 ) -> tuple[float, float]:
-    base = np.repeat(np.arange(1, c.s + 1, dtype=np.int64), c.classes)
     ms = np.empty(trials)
     for t in range(trials):
         rng = stream(seed, n, 2, t)
         g = generate(model, rng)
-        colors = base.copy()
-        rng.shuffle(colors)
-        ms[t] = count_batch(g, colors[None, :])[0]
+        ms[t] = count_batch(g, sample(c, rng)[None, :])[0]
     return float(ms.mean()), float(ms.var(ddof=1))
 
 

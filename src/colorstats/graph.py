@@ -19,10 +19,10 @@ import numpy as np
 
 
 class EdgeListError(ValueError):
-    """Raised for malformed edge-list files; `line` is the 1-based line number."""
+    """Raised for a bad edge list; `line` is its file line, `edge` the bad edge's input index."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
+    def __init__(self, message: str, line: int | None = None, edge: int | None = None):
+        self.line, self.edge = line, edge
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
@@ -36,23 +36,30 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: np.typing.ArrayLike) -> "Graph":
-        """Validate, canonicalize an (m, 2) array-like: u < v, sorted, no duplicates."""
-        if not 1 <= n < 2**63:  # vertex labels are int64
-            raise ValueError(f"graph needs 1 <= n < 2**63 vertices, got n={n}")
-        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        """Validate, canonicalize an (m, 2) array-like of ints or decimal strings:
+        u < v, sorted, no duplicates.  The first bad edge in input order (self-loop,
+        out of range, repeat) raises EdgeListError naming its index; then n is checked."""
+        try:
+            pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        except OverflowError:  # an endpoint past int64: exact ints name it
+            pairs = np.frompyfunc(int, 1, 1)(np.asarray(edges, dtype=object)).reshape(-1, 2)
         lo, hi = np.minimum(*pairs.T), np.maximum(*pairs.T)
         bad = (lo == hi) | (lo < 0) | (hi >= n)
-        if bad.any():
-            x, y = pairs[np.argmax(bad)].tolist()
-            if x == y:
-                raise ValueError(f"self-loop at vertex {x}")
-            raise ValueError(f"edge ({x}, {y}) out of range for n={n}")
-        order = np.lexsort((hi, lo))
+        first = int(np.argmax(bad)) if bad.any() else len(pairs)
+        # the sort is stable, so each repeat follows the earlier copy it repeats
+        order = np.lexsort((hi[:first], lo[:first]))
         u, v = lo[order], hi[order]
         dup = (u[1:] == u[:-1]) & (v[1:] == v[:-1])
         if dup.any():
-            i = np.argmax(dup)
-            raise ValueError(f"duplicate edge {(int(u[i]), int(v[i]))}")
+            i = int(order[1:][dup].min())
+            raise EdgeListError(f"duplicate edge {(int(lo[i]), int(hi[i]))}", edge=i)
+        if first < len(pairs):
+            x, y = pairs[first].tolist()
+            if x == y:
+                raise EdgeListError(f"self-loop at vertex {x}", edge=first)
+            raise EdgeListError(f"edge ({x}, {y}) out of range for n={n}", edge=first)
+        if not 1 <= n < 2**63:  # vertex labels are int64
+            raise EdgeListError(f"graph needs 1 <= n < 2**63 vertices, got n={n}")
         u.flags.writeable = v.flags.writeable = False
         return cls(n, u, v)
 
@@ -267,18 +274,19 @@ def graph_from_spec(spec: str) -> Graph:
 # ── edge-list files ───────────────────────────────────────────────────────
 
 
-# a number in an edge-list file; int() alone would also take "+1", "1_0"
-# and non-ASCII digits
-_DECIMAL = re.compile(r"-?[0-9]+")
+# the start of a line that is neither blank nor two ASCII-decimal numbers
+# (int() alone would also take "+1", "1_0" and non-ASCII digits)
+_MALFORMED_LINE = re.compile(r"^(?![^\S\n]*(?:-?[0-9]+[^\S\n]+-?[0-9]+[^\S\n]*)?$)", re.M)
 
 
 def load_edge_list(path_or_file) -> Graph:
     """Read a graph from the plain edge-list format.
 
     First line: "n m".  Then exactly m lines "u v" with 0 <= u < v < n.
-    Lines with u > v are accepted and canonicalized; self-loops, duplicate
-    edges, out-of-range endpoints, and malformed lines raise EdgeListError
-    naming the offending line.
+    Lines with u > v are accepted and canonicalized; blank lines are skipped
+    and CRLF line ends are accepted.  The first faulty line (malformed, a
+    self-loop, a duplicate edge, an out-of-range endpoint, or one edge too
+    many) raises EdgeListError naming it.
     """
     if hasattr(path_or_file, "read"):
         text = path_or_file.read()
@@ -291,47 +299,41 @@ def load_edge_list(path_or_file) -> Graph:
     header = lines[0].split()
     if len(header) != 2:
         raise EdgeListError(f"header must be 'n m', got {lines[0]!r}", line=1)
-    if not all(map(_DECIMAL.fullmatch, header)):
+    if _MALFORMED_LINE.match(lines[0]):
         raise EdgeListError(f"header must be two integers, got {lines[0]!r}", line=1)
     n, m = map(int, header)
     if n < 1 or m < 0:
         raise EdgeListError(f"header values out of range: n={n}, m={m}", line=1)
 
-    ends = []  # u0, v0, u1, v1, ...
-    seen = set()
-    lineno = 1
-    for raw in lines[1:]:
-        lineno += 1
-        if not raw.strip():
-            continue
-        if len(seen) == m:
-            raise EdgeListError(f"more than the declared {m} edges", line=lineno)
-        tokens = raw.split()
-        if len(tokens) != 2:
-            raise EdgeListError(f"edge line must be 'u v', got {raw!r}", line=lineno)
-        if not all(map(_DECIMAL.fullmatch, tokens)):
-            raise EdgeListError(f"edge line must be two integers, got {raw!r}", line=lineno)
-        u, v = map(int, tokens)
-        if u == v:
-            raise EdgeListError(f"self-loop at vertex {u}", line=lineno)
-        if not (0 <= u < n and 0 <= v < n):
-            raise EdgeListError(f"endpoint out of range for n={n}: ({u}, {v})", line=lineno)
-        e = (u, v) if u < v else (v, u)
-        if e in seen:
-            raise EdgeListError(f"duplicate edge {e}", line=lineno)
-        seen.add(e)
-        ends.extend(e)
-    if len(seen) != m:
-        raise EdgeListError(
-            f"declared {m} edges but found {len(seen)}", line=lineno
-        )
-    return Graph.from_edges(n, np.reshape(ends, (-1, 2)))
+    good, *bad = _MALFORMED_LINE.split("\n".join(lines[1:]), maxsplit=1)  # bad: from the first malformed line on
+    tokens = good.split()
+    found = len(tokens) // 2
+
+    def line_of(edge):  # edge `edge` is on the edge-th non-blank line after the header
+        return [i for i, raw in enumerate(lines[1:], 2) if raw.strip()][edge]
+
+    try:
+        g = Graph.from_edges(n, tokens[: 2 * m])
+    except EdgeListError as err:
+        if err.edge is not None:  # a bad edge comes before any other fault
+            raise EdgeListError(str(err), line=line_of(err.edge)) from None
+        if not bad and found == m:  # n past int64 is refused after the lines' faults
+            raise
+    if not bad and found == m:
+        return g
+    if found >= m:
+        raise EdgeListError(f"more than the declared {m} edges", line=line_of(m))
+    if not bad:
+        raise EdgeListError(f"declared {m} edges but found {found}", line=len(lines))
+    raw = bad[0].partition("\n")[0]
+    form = "'u v'" if len(raw.split()) != 2 else "two integers"
+    raise EdgeListError(f"edge line must be {form}, got {raw!r}", line=line_of(found))
 
 
 def save_edge_list(g: Graph, path_or_file) -> None:
     """Write g in canonical edge-list form (sorted edges, u < v)."""
     out = [f"{g.n} {g.m}"]
-    out.extend(f"{u} {v}" for u, v in g.edges)
+    out.extend(f"{u} {v}" for u, v in zip(g.u.tolist(), g.v.tolist()))
     write_text("\n".join(out) + "\n", path_or_file)
 
 

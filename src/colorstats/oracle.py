@@ -25,6 +25,7 @@ import numpy as np
 from . import moments
 from .coloring import Composition, _validate_sizes, prob_distinct_colors, prob_fixed_colors
 from .graph import Graph, GraphStats, complete, cycle, path, star, stats, threshold_graph
+from .randgraph import Gnp, generate
 from .seeds import stream
 
 DEFAULT_BUDGET = 10_000_000
@@ -233,11 +234,10 @@ def corpus_graphs(max_n: int = 8) -> list[tuple[str, Graph]]:
     orders = list(range(4, max_n + 1))
     for i in range(20):
         n = orders[i % len(orders)]
-        pairs = np.column_stack(np.triu_indices(n, k=1))
         for attempt in range(100):
-            keep = stream(CORPUS_SEED, i, attempt).random(len(pairs)) < 0.5
-            if keep.any():
-                out.append((f"random:{i}(n={n})", Graph.from_edges(n, pairs[keep])))
+            g = generate(Gnp(n, Fraction(1, 2)), stream(CORPUS_SEED, i, attempt))
+            if g.m:
+                out.append((f"random:{i}(n={n})", g))
                 break
         else:  # pragma: no cover - p(no edges) is astronomically small
             raise RuntimeError("could not draw a nonempty random graph")

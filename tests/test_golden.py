@@ -1,7 +1,8 @@
 """Byte-for-byte CLI output of exact-only commands, and the saved edge
-lists of the deterministic generators, against committed reference files
-in tests/golden/.  Seeded Monte Carlo commands are left out, because their
-bytes depend on numpy's random streams, except for a zero-variance cell."""
+lists of the deterministic generators (which must also load back as the
+same graphs), against committed reference files in tests/golden/.  Seeded
+Monte Carlo commands are left out, because their bytes depend on numpy's
+random streams, except for a zero-variance cell."""
 
 import hashlib
 import io
@@ -14,6 +15,7 @@ from colorstats.graph import (
     complete,
     cycle,
     disjoint_union,
+    load_edge_list,
     path,
     regular_circulant,
     save_edge_list,
@@ -95,3 +97,4 @@ def test_edge_list_matches_golden(build, golden):
     buf = io.StringIO()
     save_edge_list(build(), buf)
     assert buf.getvalue() == (GOLDEN / golden).read_text(encoding="utf-8")
+    assert load_edge_list(GOLDEN / golden) == build()

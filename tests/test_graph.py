@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,9 @@ class TestGraphConstruction:
             Graph.from_edges(4, [(0, 1), (2, 2), (4, 0)])
         with pytest.raises(ValueError, match=r"duplicate edge \(1, 2\)"):
             Graph.from_edges(4, [(2, 1), (0, 3), (1, 2)])
+        with pytest.raises(EdgeListError, match=r"duplicate edge \(0, 1\)") as err:
+            Graph.from_edges(4, [(0, 1), (1, 0), (2, 2)])
+        assert err.value.edge == 1 and err.value.line is None
 
     def test_order_past_the_int64_code_range(self):
         # u * n + v codes would overflow int64 here; the sort must not
@@ -181,6 +185,69 @@ class TestGenerators:
             graph_template("threshold:IDID")(8)
 
 
+# what each fault message says, most specific first
+FAULT_KINDS = ("more than", "'u v'", "two integers", "self-loop", "out of range",
+               "duplicate", "declared", "vertices")
+
+
+def reference_load(text):
+    """Reference loader that checks one line at a time, in file order: the
+    sorted edges, or (line, fault kind) of the first fault.  Headers are valid
+    but for n, which past int64 is refused only after every line passes."""
+    lines = text.splitlines()
+    n, m = map(int, lines[0].split())
+    seen = set()
+    lineno = 1
+    for raw in lines[1:]:
+        lineno += 1
+        if not raw.strip():
+            continue
+        if len(seen) == m:
+            return lineno, "more than"
+        tokens = raw.split()
+        if len(tokens) != 2:
+            return lineno, "'u v'"
+        if not all(re.fullmatch(r"-?[0-9]+", t) for t in tokens):
+            return lineno, "two integers"
+        u, v = map(int, tokens)
+        if u == v:
+            return lineno, "self-loop"
+        if not (0 <= u < n and 0 <= v < n):
+            return lineno, "out of range"
+        e = (min(u, v), max(u, v))
+        if e in seen:
+            return lineno, "duplicate"
+        seen.add(e)
+    if len(seen) != m:
+        return lineno, "declared"
+    if n >= 2**63:
+        return None, "vertices"
+    return tuple(sorted(seen))
+
+
+@st.composite
+def edge_list_texts(draw):
+    """A header (n small or past int64), then edge, blank and malformed lines
+    joined by mixed line breaks and separated by mixed whitespace."""
+    n = draw(st.one_of(st.integers(1, 6), st.sampled_from([2**63, 10**22])))
+    vertex = st.integers(0, n - 1).map(str)
+    odd_number = st.sampled_from(
+        ["-1", str(n), "0007", str(10**20), "+1", "1_0", "\u0663", "x"])
+    number = st.integers(0, 9).flatmap(lambda k: vertex if k else odd_number)
+    space = st.sampled_from([" ", "\t", "  ", "\xa0", "\x1f"])
+    edge = st.builds(lambda a, sp, b: a + sp + b, number, space, number)
+    blank = st.sampled_from(["", " ", "\t", "\u3000"])
+    body = draw(st.lists(st.one_of(edge, edge, edge, blank), max_size=8))
+    if draw(st.booleans()):
+        body.insert(draw(st.integers(0, len(body))), draw(st.sampled_from(["1", "1 2 3"])))
+    breaks = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\u2028"])
+    m = draw(st.one_of(st.just(sum(1 for line in body if line.strip())), st.integers(0, 5)))
+    text = f"{n} {m}"
+    for line in body:
+        text += draw(breaks) + draw(st.sampled_from(["", " "])) + line
+    return text + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
 class TestEdgeListIO:
     def test_round_trip(self):
         g = cycle(5)
@@ -215,6 +282,14 @@ class TestEdgeListIO:
             ("3 2\n0 1\n1 0\n", 3, "duplicate"),
             ("3 1\n0 1\n0 2\n", 3, "more than the declared"),
             ("3 2\n0 1\n", 2, "declared 2 edges but found 1"),
+            ("3 3\n0 1\n1 0\n2 2\n", 3, "duplicate"),
+            ("3 2\n1 1\n0 1\n0 2\n", 2, "self-loop"),
+            ("3 2\n0 1\n\n\n1 0\n", 5, "duplicate"),
+            ("3 1\n0 99999999999999999999\n", 2, "out of range"),
+            ("3 1\n0 1\n1 x\n", 3, "more than the declared"),
+            ("3 2\n0 1\n1 x\n", 3, "two integers"),
+            (f"{10**22} 1\n0 0\n", 2, "self-loop"),
+            (f"{10**22} 2\n0 1\n", 2, "declared 2 edges but found 1"),
         ],
     )
     def test_errors_name_line(self, text, lineno, fragment):
@@ -222,3 +297,16 @@ class TestEdgeListIO:
             load_edge_list(io.StringIO(text))
         assert err.value.line == lineno
         assert fragment in str(err.value)
+
+    def test_crlf_blank_lines_and_leading_zeros(self):
+        g = load_edge_list(io.StringIO("8 2\r\n0007 1\r\n\r\n  \r\n2 0\r\n"))
+        assert g.edges == ((0, 2), (1, 7))
+
+    @given(edge_list_texts())
+    def test_matches_per_line_reference(self, text):
+        want = reference_load(text)
+        try:
+            got = load_edge_list(io.StringIO(text)).edges
+        except EdgeListError as err:
+            got = (err.line, next(k for k in FAULT_KINDS if k in str(err)))
+        assert got == want
