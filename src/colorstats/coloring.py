@@ -25,8 +25,8 @@ from .symfun import elementary_symmetric, falling_factorial
 # capped here
 MAX_ENUMERATED_COLORS = 12
 
-# coloring rows per count_batch comparison buffer, which is (rows, m)
-BATCH_ROWS = 4096
+# cells (edges x rows) per count_batch comparison buffer
+BATCH_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -154,14 +154,18 @@ def count(g: Graph, colors: ColorAssignment, s: int | None = None) -> EdgeCounts
 
 
 def count_batch(g: Graph, colors: np.ndarray) -> np.ndarray:
-    """Monochromatic edge count per row of a (trials, n) coloring matrix,
-    BATCH_ROWS rows at a time."""
-    if g.m == 0:
-        return np.zeros(colors.shape[0], dtype=np.int64)
-    out = np.empty(colors.shape[0], dtype=np.int64)
-    for lo in range(0, colors.shape[0], BATCH_ROWS):
-        block = colors[lo : lo + BATCH_ROWS]
-        out[lo : lo + BATCH_ROWS] = (block[:, g.u] == block[:, g.v]).sum(axis=1)
+    """Monochromatic edge count per row of a (trials, n) coloring matrix.
+
+    The matrix is copied once as (n, trials), one row of colors per vertex;
+    edges are then compared in chunks of about BATCH_CELLS (edge, trial)
+    cells, so beyond that copy memory stays near 3 * BATCH_CELLS bytes for
+    int8 colors, however large m is.
+    """
+    by_vertex = np.ascontiguousarray(colors.T)
+    out = np.zeros(colors.shape[0], dtype=np.int64)
+    step = max(1, BATCH_CELLS // max(1, colors.shape[0]))
+    for lo in range(0, g.m, step):
+        out += (by_vertex[g.u[lo : lo + step]] == by_vertex[g.v[lo : lo + step]]).sum(axis=0)
     return out
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from collections.abc import Callable, Sequence
@@ -37,22 +38,26 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: np.typing.ArrayLike) -> "Graph":
         """Validate, canonicalize an (m, 2) array-like of ints or decimal strings:
-        u < v, sorted, no duplicates.  The first bad edge in input order (self-loop,
-        out of range, repeat) raises EdgeListError naming its index; then n is checked."""
+        u < v, sorted, no duplicates; input already in that order is not sorted
+        again.  The first bad edge in input order (self-loop, out of range, repeat)
+        raises EdgeListError naming its index; then n is checked."""
         try:
             pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        except OverflowError:  # an endpoint past int64: exact ints name it
-            pairs = np.frompyfunc(int, 1, 1)(np.asarray(edges, dtype=object)).reshape(-1, 2)
+        except (OverflowError, ValueError):  # past int64 or int()'s digit limit: exact values
+            pairs = np.frompyfunc(_exact_int, 1, 1)(np.asarray(edges, dtype=object)).reshape(-1, 2)
         lo, hi = np.minimum(*pairs.T), np.maximum(*pairs.T)
         bad = (lo == hi) | (lo < 0) | (hi >= n)
         first = int(np.argmax(bad)) if bad.any() else len(pairs)
-        # the sort is stable, so each repeat follows the earlier copy it repeats
-        order = np.lexsort((hi[:first], lo[:first]))
-        u, v = lo[order], hi[order]
-        dup = (u[1:] == u[:-1]) & (v[1:] == v[:-1])
-        if dup.any():
-            i = int(order[1:][dup].min())
-            raise EdgeListError(f"duplicate edge {(int(lo[i]), int(hi[i]))}", edge=i)
+        u, v = lo[:first], hi[:first]
+        # a prefix strictly increasing in (u, v) is sorted and has no repeat
+        if not ((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))).all():
+            # the sort is stable, so each repeat follows the earlier copy it repeats
+            order = np.lexsort((v, u))
+            u, v = u[order], v[order]
+            dup = (u[1:] == u[:-1]) & (v[1:] == v[:-1])
+            if dup.any():
+                i = int(order[1:][dup].min())
+                raise EdgeListError(f"duplicate edge {(int(lo[i]), int(hi[i]))}", edge=i)
         if first < len(pairs):
             x, y = pairs[first].tolist()
             if x == y:
@@ -60,6 +65,7 @@ class Graph:
             raise EdgeListError(f"edge ({x}, {y}) out of range for n={n}", edge=first)
         if not 1 <= n < 2**63:  # vertex labels are int64
             raise EdgeListError(f"graph needs 1 <= n < 2**63 vertices, got n={n}")
+        u, v = u.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
         u.flags.writeable = v.flags.writeable = False
         return cls(n, u, v)
 
@@ -274,6 +280,19 @@ def graph_from_spec(spec: str) -> Graph:
 # ── edge-list files ───────────────────────────────────────────────────────
 
 
+def _exact_int(tok):
+    """Exact value of an int or a decimal token.  A token of more digits than
+    int() reads (see sys.get_int_max_str_digits) is read as an exact Decimal,
+    which compares with ints exactly; leading zeros are not counted."""
+    try:
+        return int(tok)
+    except ValueError:
+        if not (isinstance(tok, str) and re.fullmatch(r"\s*-?[0-9]+\s*", tok)):
+            raise
+    value = Decimal(tok)
+    return int(value) if value.adjusted() < sys.get_int_max_str_digits() else value
+
+
 # the start of a line that is neither blank nor two ASCII-decimal numbers
 # (int() alone would also take "+1", "1_0" and non-ASCII digits)
 _MALFORMED_LINE = re.compile(r"^(?![^\S\n]*(?:-?[0-9]+[^\S\n]+-?[0-9]+[^\S\n]*)?$)", re.M)
@@ -301,8 +320,8 @@ def load_edge_list(path_or_file) -> Graph:
         raise EdgeListError(f"header must be 'n m', got {lines[0]!r}", line=1)
     if _MALFORMED_LINE.match(lines[0]):
         raise EdgeListError(f"header must be two integers, got {lines[0]!r}", line=1)
-    n, m = map(int, header)
-    if n < 1 or m < 0:
+    n, m = map(_exact_int, header)
+    if isinstance(n, Decimal) or isinstance(m, Decimal) or n < 1 or m < 0:
         raise EdgeListError(f"header values out of range: n={n}, m={m}", line=1)
 
     good, *bad = _MALFORMED_LINE.split("\n".join(lines[1:]), maxsplit=1)  # bad: from the first malformed line on

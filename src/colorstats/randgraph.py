@@ -221,6 +221,40 @@ def _bernoulli_pair_edges(n: int, p: float, rng: np.random.Generator) -> np.ndar
     return _decode_pairs(idx, n)
 
 
+def _torus_edges(pts: np.ndarray, r: float) -> np.ndarray:
+    """Sorted (m, 2) pairs i < j of points within torus distance r.
+
+    The points are binned into k x k cells, each wider than r, so a pair can
+    only lie in the same or in neighbouring cells (wrapping around).  k is at
+    most sqrt(n), so the cell table stays O(n); candidates are then O(n + m).
+    Candidates are tested with the float expression an all-pairs test uses,
+    so the edge set is the same to the bit.
+    """
+    n = len(pts)
+    k = max(1, int(min(1 / r, math.isqrt(n) + 1)) - 1)  # cell width 1/k > r
+    cell = np.minimum((pts * k).astype(np.int64), k - 1)
+    key = cell[:, 0] * k + cell[:, 1]
+    order = np.argsort(key, kind="stable")
+    counts = np.bincount(key, minlength=k * k)
+    starts = np.cumsum(counts) - counts
+    steps = sorted({s % k for s in (-1, 0, 1)})  # k <= 2 repeats a neighbour
+    found = []
+    for dx in steps:
+        for dy in steps:
+            nb = (cell[:, 0] + dx) % k * k + (cell[:, 1] + dy) % k
+            reps = counts[nb]
+            i = np.repeat(np.arange(n), reps)
+            j = order[np.repeat(starts[nb] - np.cumsum(reps) + reps, reps) + np.arange(len(i))]
+            keep = i < j
+            i, j = i[keep], j[keep]
+            diff = np.abs(pts[i] - pts[j])
+            diff = np.minimum(diff, 1.0 - diff)
+            hit = (diff**2).sum(axis=-1) <= r**2
+            found.append(i[hit] * n + j[hit])  # int64 keys that sort like (i, j)
+    u, v = np.divmod(np.sort(np.concatenate(found)), n)
+    return np.column_stack((u, v))
+
+
 @dataclass(frozen=True)
 class ConfigSample:
     """One erased-configuration draw with its pre-erasure degree statistics."""
@@ -239,8 +273,11 @@ def config_sample(spec: ConfigModel, rng: np.random.Generator) -> ConfigSample:
     stubs = np.repeat(np.arange(n, dtype=np.int64), degrees)
     pairs = np.sort(stubs[rng.permutation(len(stubs))].reshape(-1, 2), axis=1)
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    # one int64 key per pair sorts like (u, v); it fits while n * n < 2**63,
+    # i.e. n < 3.0e9, where the degree array alone would take 24 GB
+    u, v = np.divmod(np.unique(pairs[:, 0] * n + pairs[:, 1]), n)
     return ConfigSample(
-        graph=Graph.from_edges(n, np.unique(pairs, axis=0)),
+        graph=Graph.from_edges(n, np.column_stack((u, v))),
         pre_degrees=degrees,
         pre_m=int(degrees.sum()) // 2,
         pre_sigma2=int((degrees * degrees).sum()),
@@ -254,13 +291,7 @@ def generate(spec: ModelSpec, rng: np.random.Generator) -> Graph:
     if isinstance(spec, ConfigModel):
         return config_sample(spec, rng).graph
     if isinstance(spec, GeometricTorus):
-        pts = rng.random((spec.n, 2))
-        diff = np.abs(pts[:, None, :] - pts[None, :, :])
-        diff = np.minimum(diff, 1.0 - diff)
-        d2 = (diff**2).sum(axis=-1)
-        iu = np.triu_indices(spec.n, k=1)
-        hit = d2[iu] <= spec.r**2
-        return Graph.from_edges(spec.n, np.column_stack((iu[0][hit], iu[1][hit])))
+        return Graph.from_edges(spec.n, _torus_edges(rng.random((spec.n, 2)), spec.r))
     if isinstance(spec, ChungLu):
         w = np.array([float(x) for x in spec.weights])
         total = w.sum()

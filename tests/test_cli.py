@@ -85,6 +85,30 @@ class TestBadInput:
         assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3 1\n0 " + "1" * 5000 + "\n", "error: line 2: edge (0, 1111"),
+            ("1" * 5000 + " 1\n0 1\n", "error: line 1: header values out of range"),
+        ],
+        ids=["endpoint", "header"],
+    )
+    def test_number_past_the_int_digit_limit_exits_2(self, capsys, tmp_path, text, message):
+        f = tmp_path / "long.txt"
+        f.write_text(text)
+        code, _, err = run(capsys, "moments", "--graph", str(f), "--classes", "balanced:2")
+        assert code == 2
+        assert err.startswith(message) and err.count("\n") == 1
+
+    def test_leading_zeros_past_the_int_digit_limit(self, capsys, tmp_path):
+        zeros = "0" * 5000
+        long, short = tmp_path / "long.txt", tmp_path / "short.txt"
+        long.write_text(f"{zeros}4 3\n0 {zeros}1\n{zeros}1 2\n2 3\n")
+        short.write_text("4 3\n0 1\n1 2\n2 3\n")
+        want = run(capsys, "moments", "--graph", str(short), "--classes", "2,2")
+        assert run(capsys, "moments", "--graph", str(long), "--classes", "2,2") == want
+        assert want[0] == 0
+
+    @pytest.mark.parametrize(
         "env, flag", [("abc", ()), ("1", ("--threads", "0")), ("1", ("--threads", "-1"))]
     )
     def test_bad_thread_count_exits_2(self, capsys, tmp_path, monkeypatch, env, flag):

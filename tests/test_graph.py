@@ -5,6 +5,7 @@ import itertools
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -301,6 +302,30 @@ class TestEdgeListIO:
     def test_crlf_blank_lines_and_leading_zeros(self):
         g = load_edge_list(io.StringIO("8 2\r\n0007 1\r\n\r\n  \r\n2 0\r\n"))
         assert g.edges == ((0, 2), (1, 7))
+
+    @pytest.mark.parametrize(
+        "text,lineno,fragment",
+        [
+            ("3 1\n0 " + "1" * 5000 + "\n", 2, "out of range for n=3"),
+            ("3 1\n-" + "1" * 5000 + " 2\n", 2, "out of range for n=3"),
+            ("3 1\n" + "1" * 5000 + " " + "1" * 5000 + "\n", 2, "self-loop"),
+            ("3 1\n" + "1" * 5000 + " " + "2" * 5000 + "\n", 2, "out of range for n=3"),
+            ("1" * 5000 + " 1\n0 1\n", 1, "header values out of range"),
+            ("3 " + "1" * 5000 + "\n0 1\n", 1, "header values out of range"),
+        ],
+        ids=["endpoint", "negative", "equal", "both", "header_n", "header_m"],
+    )
+    def test_numbers_past_the_int_digit_limit(self, text, lineno, fragment):
+        with pytest.raises(EdgeListError) as err:
+            load_edge_list(io.StringIO(text))
+        assert err.value.line == lineno
+        assert fragment in str(err.value)
+
+    def test_leading_zeros_past_the_int_digit_limit(self):
+        zeros = "0" * 5000
+        g = load_edge_list(io.StringIO(f"{zeros}8 {zeros}2\n{zeros}7 1\n2 {zeros}\n"))
+        assert g == Graph.from_edges(8, [(1, 7), (0, 2)])
+        assert g.u.dtype == np.int64
 
     @given(edge_list_texts())
     def test_matches_per_line_reference(self, text):
