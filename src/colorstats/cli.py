@@ -48,7 +48,10 @@ def _positive_int(text: str) -> int:
 
 
 def _grid_arg(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(","))
+    grid = tuple(int(tok) for tok in text.split(","))
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"grid must be strictly increasing, got {grid}")
+    return grid
 
 
 def _cmd_moments(args) -> int:
@@ -135,11 +138,7 @@ def _cmd_rdcheck(args) -> int:
         check = randgraph.assumption_star_check(
             template, grid, trials=args.trials, seed=args.seed
         )
-        payload["star_check"] = {
-            "values": list(check.values),
-            "exponent": check.exponent,
-            "holds": check.holds,
-        }
+        payload["star_check"] = record_json(check)
         exp = "n/a" if check.exponent is None else f"{check.exponent:.3f}"
         print(f"size-variance check: exponent={exp} holds={check.holds}")
     if args.out is not None:

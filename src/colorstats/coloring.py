@@ -100,18 +100,6 @@ class Composition:
         return elementary_symmetric(self.classes, k)
 
 
-ColorAssignment = Sequence[int]
-
-
-@dataclass(frozen=True)
-class EdgeCounts:
-    """Monochromatic edges per color, their total, and the bichromatic rest."""
-
-    per_color: tuple[int, ...]
-    mono: int
-    bi: int
-
-
 def sample(c: Composition, rng: np.random.Generator) -> np.ndarray:
     """One uniform coloring: a shuffle of the color multiset, as int64."""
     base = np.repeat(np.arange(1, c.s + 1, dtype=np.int64), c.classes)
@@ -128,29 +116,6 @@ def sample_batch(c: Composition, trials: int, rng: np.random.Generator) -> np.nd
     mat = np.tile(base, (trials, 1))
     rng.permuted(mat, axis=1, out=mat)
     return mat
-
-
-def count(g: Graph, colors: ColorAssignment, s: int | None = None) -> EdgeCounts:
-    """Count monochromatic edges of g under one coloring.
-
-    `s` fixes the length of per_color; by default the largest color present
-    is used, which undercounts classes only when a trailing color is unused.
-    A color outside 1..s, or a coloring without one entry per vertex, is
-    refused.
-    """
-    if len(colors) != g.n:
-        raise ValueError(f"coloring has {len(colors)} entries, graph has n={g.n}")
-    if s is None:
-        s = max(colors, default=0)
-    if any(not 1 <= color <= s for color in colors):
-        raise ValueError(f"colors must lie in 1..{s}, got {min(colors)}..{max(colors)}")
-    per = [0] * s
-    for u, v in g.edges:
-        cu = colors[u]
-        if cu == colors[v]:
-            per[cu - 1] += 1
-    mono = sum(per)
-    return EdgeCounts(per_color=tuple(per), mono=mono, bi=g.m - mono)
 
 
 def count_batch(g: Graph, colors: np.ndarray) -> np.ndarray:

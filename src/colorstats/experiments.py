@@ -72,6 +72,8 @@ class FamilySpec:
             raise ValueError("family grid must be nonempty")
         if any(n < 4 for n in self.grid):
             raise ValueError(f"grid entries must be >= 4, got {self.grid}")
+        if any(a >= b for a, b in zip(self.grid, self.grid[1:])):
+            raise ValueError(f"grid must be strictly increasing, got {self.grid}")
 
     @property
     def is_random(self) -> bool:
@@ -181,10 +183,10 @@ def run_regime(
     grid = family.grid
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda n: _regime_point(family, n, trials, seed), grid)
-            )
+            results = list(pool.map(lambda n: _regime_point(family, n, trials, seed), grid))
     else:
+        # in the caller's thread: a one-worker pool gives each call a fresh
+        # thread and malloc arena, and the process's peak RSS then varies
         results = [_regime_point(family, n, trials, seed) for n in grid]
     regime = _classify(
         grid,

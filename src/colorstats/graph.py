@@ -1,9 +1,9 @@
 """Simple undirected graphs: construction, degree statistics, file IO.
 
 Graphs are immutable: a vertex count plus two read-only int64 arrays u and
-v, edge i joining u[i] < v[i], sorted by (u, v).  The statistics collected
-here (degree second moment, wedge count) are exactly the graph-side
-quantities the moment formulas consume.
+v, edge i joining u[i] < v[i], sorted by (u, v).  The statistic collected
+here (the degree second moment) is the graph-side quantity the moment
+formulas consume besides n and m.
 """
 
 from __future__ import annotations
@@ -57,14 +57,14 @@ class Graph:
             dup = (u[1:] == u[:-1]) & (v[1:] == v[:-1])
             if dup.any():
                 i = int(order[1:][dup].min())
-                raise EdgeListError(f"duplicate edge {(int(lo[i]), int(hi[i]))}", edge=i)
+                raise EdgeListError(f"duplicate edge ({_brief(lo[i])}, {_brief(hi[i])})", edge=i)
         if first < len(pairs):
             x, y = pairs[first].tolist()
             if x == y:
-                raise EdgeListError(f"self-loop at vertex {x}", edge=first)
-            raise EdgeListError(f"edge ({x}, {y}) out of range for n={n}", edge=first)
+                raise EdgeListError(f"self-loop at vertex {_brief(x)}", edge=first)
+            raise EdgeListError(f"edge ({_brief(x)}, {_brief(y)}) out of range for n={_brief(n)}", edge=first)
         if not 1 <= n < 2**63:  # vertex labels are int64
-            raise EdgeListError(f"graph needs 1 <= n < 2**63 vertices, got n={n}")
+            raise EdgeListError(f"graph needs 1 <= n < 2**63 vertices, got n={_brief(n)}")
         u, v = u.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
         u.flags.writeable = v.flags.writeable = False
         return cls(n, u, v)
@@ -72,11 +72,6 @@ class Graph:
     @property
     def m(self) -> int:
         return len(self.u)
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """The edges as Python-int pairs, for per-edge Python loops."""
-        return tuple(zip(self.u.tolist(), self.v.tolist()))
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -91,13 +86,11 @@ class Graph:
 
 @dataclass(frozen=True)
 class GraphStats:
-    """Degree-based summary: n, m, sum of squared degrees, wedges, max degree."""
+    """Degree-based summary: n, m and the sum of squared degrees."""
 
     n: int
     m: int
     sigma2: int
-    wedges: int
-    max_degree: int
 
 
 def stats(g: Graph) -> GraphStats:
@@ -105,26 +98,13 @@ def stats(g: Graph) -> GraphStats:
 
     sigma2 is the sum of d(v)^2 over vertices; the equivalent edge-sum form
     sum of d(u)+d(v) over edges is recomputed as an internal consistency
-    check.  wedges counts unordered paths of length two, sum of C(d, 2).
+    check.
     """
     deg = g.degrees
     sigma2 = int((deg * deg).sum())
     edge_sum = int(deg[g.u].sum() + deg[g.v].sum())
     assert edge_sum == sigma2, "degree-square identity violated"
-    return GraphStats(
-        n=g.n,
-        m=g.m,
-        sigma2=sigma2,
-        wedges=int((deg * (deg - 1) // 2).sum()),
-        max_degree=int(deg.max()),
-    )
-
-
-def zeta_squared(g: Graph) -> Fraction:
-    """Dispersion parameter: sigma2 / m^2, exact.  Requires m >= 1."""
-    if g.m == 0:
-        raise ValueError("zeta_squared undefined for an edgeless graph")
-    return Fraction(stats(g).sigma2, g.m * g.m)
+    return GraphStats(n=g.n, m=g.m, sigma2=sigma2)
 
 
 # ── deterministic generators ──────────────────────────────────────────────
@@ -280,6 +260,14 @@ def graph_from_spec(spec: str) -> Graph:
 # ── edge-list files ───────────────────────────────────────────────────────
 
 
+def _brief(x) -> str:
+    """An int or Decimal in decimal digits; past 30 digits only its first 20,
+    "..." and its digit count, so an error message stays one short line."""
+    text = str(Decimal(x) if isinstance(x, int) else x)  # Decimal: no str(int) digit limit
+    digits = len(text.lstrip("-"))
+    return text if digits <= 30 else f"{text[: len(text) - digits + 20]}... ({digits} digits)"
+
+
 def _exact_int(tok):
     """Exact value of an int or a decimal token.  A token of more digits than
     int() reads (see sys.get_int_max_str_digits) is read as an exact Decimal,
@@ -322,7 +310,7 @@ def load_edge_list(path_or_file) -> Graph:
         raise EdgeListError(f"header must be two integers, got {lines[0]!r}", line=1)
     n, m = map(_exact_int, header)
     if isinstance(n, Decimal) or isinstance(m, Decimal) or n < 1 or m < 0:
-        raise EdgeListError(f"header values out of range: n={n}, m={m}", line=1)
+        raise EdgeListError(f"header values out of range: n={_brief(n)}, m={_brief(m)}", line=1)
 
     good, *bad = _MALFORMED_LINE.split("\n".join(lines[1:]), maxsplit=1)  # bad: from the first malformed line on
     tokens = good.split()

@@ -159,40 +159,24 @@ def event_frequency(
     table: np.ndarray,
     sizes: Sequence[int],
     iota: Sequence[int] | None = None,
-    sets: Sequence[Sequence[int]] | None = None,
 ) -> Fraction:
     """Exact probability of a block-coloring event, over the rows of c's
     arrangement table.
 
-    Blocks default to consecutive vertex ranges of the given sizes; the
-    probability does not depend on that choice, and `sets` lets tests
-    verify exactly that.  With `iota`, block j must be colored iota[j];
-    without it, blocks must be monochromatic in pairwise distinct colors.
+    Blocks are consecutive vertex ranges of the given sizes; the probability
+    does not depend on that choice.  With `iota`, block j must be colored
+    iota[j]; without it, blocks must be monochromatic in pairwise distinct
+    colors.
     """
     _validate_sizes(c, sizes)
     if iota is not None and len(iota) != len(sizes):
         raise ValueError("iota must assign one color per block")
-    if sets is None:
-        sets = []
-        start = 0
-        for a in sizes:
-            sets.append(range(start, start + a))
-            start += a
-    else:
-        if len(sets) != len(sizes) or any(
-            len(block) != a for block, a in zip(sets, sizes)
-        ):
-            raise ValueError("explicit sets must match the given sizes")
-        flat = [v for block in sets for v in block]
-        if len(set(flat)) != len(flat):
-            raise ValueError("explicit sets must be disjoint")
-        if any(not (0 <= v < c.n) for v in flat):
-            raise ValueError(f"set vertices out of range for n={c.n}")
+    starts = list(itertools.accumulate(sizes, initial=0))[:-1]
     ok = np.ones(len(table), dtype=bool)
-    for block in sets:
-        cols = table[:, list(block)]
+    for start, a in zip(starts, sizes):
+        cols = table[:, start : start + a]
         ok &= (cols == cols[:, :1]).all(axis=1)
-    block_colors = table[:, [block[0] for block in sets]]
+    block_colors = table[:, starts]
     if iota is not None:
         ok &= (block_colors == np.asarray(iota)).all(axis=1)
     else:

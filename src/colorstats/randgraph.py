@@ -15,7 +15,6 @@ parameters are rational; float parameters flow through as floats.
 from __future__ import annotations
 
 import ast
-import dataclasses
 import math
 import operator
 from dataclasses import dataclass
@@ -89,9 +88,6 @@ class Gnp:
         if not (0 <= self.p <= 1):
             raise ValueError(f"gnp needs 0 <= p <= 1, got {self.p}")
 
-    def label(self) -> str:
-        return f"gnp(n={self.n},p={_num_str(self.p)})"
-
 
 @dataclass(frozen=True)
 class ConfigModel:
@@ -108,12 +104,6 @@ class ConfigModel:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"config needs n >= 1, got {self.n}")
-
-    def label(self) -> str:
-        parts = ",".join(
-            f"{v}:{_num_str(p)}" for v, p in zip(self.law.values, self.law.probs)
-        )
-        return f"config(n={self.n},law={parts})"
 
 
 @dataclass(frozen=True)
@@ -132,9 +122,6 @@ class GeometricTorus:
             raise ValueError(f"geometric model needs n >= 1, got {self.n}")
         if not (0 < self.r <= 0.5):
             raise ValueError(f"radius must lie in (0, 1/2], got {self.r}")
-
-    def label(self) -> str:
-        return f"geo(n={self.n},r={_num_str(self.r)})"
 
 
 @dataclass(frozen=True)
@@ -157,11 +144,6 @@ class ChungLu:
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be positive")
 
-    def label(self) -> str:
-        if len(set(self.weights)) <= 2:
-            return f"cl(n={self.n},w={{{','.join(sorted({_num_str(w) for w in self.weights}))}}})"
-        return f"cl(n={self.n},w=<{self.n} weights>)"
-
 
 ModelSpec = Gnp | ConfigModel | GeometricTorus | ChungLu
 
@@ -171,12 +153,6 @@ def star_like(n: int) -> ChungLu:
     if n < 2:
         raise ValueError(f"star_like needs n >= 2, got {n}")
     return ChungLu(n, (n,) + (1,) * (n - 1))
-
-
-def _num_str(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x)
-    return repr(x) if isinstance(x, float) else str(x)
 
 
 # ── generation ────────────────────────────────────────────────────────────
@@ -310,19 +286,13 @@ class RatioCriterion:
     """E[sigma2] / E[m]^2 for one model instance.
 
     Exact rationals in closed form for rational parameters, floats
-    otherwise; Monte Carlo mode adds a delta-method standard error.  The
-    verdict field only leaves "inconclusive" when the point was evaluated
-    as part of an n-grid (concentration is a statement about a limit, not
-    about any single n).
+    otherwise; Monte Carlo mode adds a delta-method standard error.
     """
 
-    model: str
     n: int
     numerator: Fraction | float
     denominator: Fraction | float
     ratio: Fraction | float | None
-    mode: str
-    verdict: str = "inconclusive"
     ratio_se: float | None = None
     post_erasure_ratio: float | None = None
 
@@ -362,10 +332,7 @@ def ratio_closed_form(spec: ModelSpec) -> RatioCriterion:
         den_root = Fraction(n, 2) * spec.law.mean
         den = den_root * den_root
     elif isinstance(spec, GeometricTorus):
-        return dataclasses.replace(
-            ratio_closed_form(Gnp(n, math.pi * spec.r**2)),
-            model=spec.label(),
-        )
+        return ratio_closed_form(Gnp(n, math.pi * spec.r**2))
     elif isinstance(spec, ChungLu):
         vals, groups, prob = _chung_lu_pairwise(spec)
         num = Fraction(0)
@@ -385,14 +352,7 @@ def ratio_closed_form(spec: ModelSpec) -> RatioCriterion:
     else:
         raise TypeError(f"unknown model spec {spec!r}")
     ratio = None if den == 0 else num / den
-    return RatioCriterion(
-        model=spec.label(),
-        n=n,
-        numerator=num,
-        denominator=den,
-        ratio=ratio,
-        mode="closed_form",
-    )
+    return RatioCriterion(n=n, numerator=num, denominator=den, ratio=ratio)
 
 
 def _sample_stats(spec: ModelSpec, trials: int, seed: int, key: tuple[int, ...]):
@@ -433,14 +393,7 @@ def ratio_monte_carlo(
     mean_sig = float(sig.mean())
     mean_m = float(ms.mean())
     if mean_m == 0.0:
-        return RatioCriterion(
-            model=spec.label(),
-            n=spec.n,
-            numerator=mean_sig,
-            denominator=0.0,
-            ratio=None,
-            mode="monte_carlo",
-        )
+        return RatioCriterion(n=spec.n, numerator=mean_sig, denominator=0.0, ratio=None)
     ratio = mean_sig / mean_m**2
     var_sig = float(sig.var(ddof=1)) / trials
     var_m = float(ms.var(ddof=1)) / trials
@@ -455,12 +408,10 @@ def ratio_monte_carlo(
     if post is not None and post[:, 1].mean() > 0:
         post_ratio = float(post[:, 0].mean() / post[:, 1].mean() ** 2)
     return RatioCriterion(
-        model=spec.label(),
         n=spec.n,
         numerator=mean_sig,
         denominator=mean_m**2,
         ratio=ratio,
-        mode="monte_carlo",
         ratio_se=math.sqrt(max(var_ratio, 0.0)),
         post_erasure_ratio=post_ratio,
     )
@@ -517,11 +468,7 @@ def ratio_over_grid(
             points.append(ratio_closed_form(spec))
         else:
             points.append(ratio_monte_carlo(spec, trials, seed, key=(i,)))
-    verdict = classify_ratio_trend(list(ns), [p.ratio for p in points])
-    return GridResult(
-        points=tuple(dataclasses.replace(p, verdict=verdict) for p in points),
-        verdict=verdict,
-    )
+    return GridResult(tuple(points), classify_ratio_trend(list(ns), [p.ratio for p in points]))
 
 
 # ── assumption check: Var(m) / E[m]^2 ─────────────────────────────────────
@@ -535,7 +482,6 @@ class StarCheck:
     zero (deterministic edge count) or fitted exponent <= -1/2.
     """
 
-    ns: tuple[int, ...]
     values: tuple[float, ...]
     exponent: float | None
     holds: bool
@@ -582,12 +528,7 @@ def assumption_star_check(
     else:
         exponent = fit_power_law(ns, values)
         holds = exponent <= -0.5
-    return StarCheck(
-        ns=tuple(int(n) for n in ns),
-        values=tuple(values),
-        exponent=exponent,
-        holds=holds,
-    )
+    return StarCheck(values=tuple(values), exponent=exponent, holds=holds)
 
 
 # ── model spec strings ────────────────────────────────────────────────────

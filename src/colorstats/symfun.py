@@ -2,8 +2,8 @@
 
 Everything here is plain Python integer arithmetic, so results are exact for
 arbitrarily large inputs.  These are the building blocks for the closed-form
-moment formulas: falling factorials, elementary symmetric polynomials, power
-sums, and the Newton-identity route to e1..e3.
+moment formulas: falling factorials, elementary symmetric polynomials and
+power sums.
 """
 
 from __future__ import annotations
@@ -54,23 +54,3 @@ def power_sum(values: Sequence[int], k: int) -> int:
     if k == 0:
         return len(values)
     return sum(x**k for x in values)
-
-
-def e_from_newton(values: Sequence[int]) -> tuple[int, int, int]:
-    """(e1, e2, e3) computed from power sums via Newton's identities.
-
-    Requires len(values) >= 3.  Used as an independent route to cross-check
-    the DP in `elementary_symmetric`; the divisions below are exact for
-    integer inputs.
-    """
-    if len(values) < 3:
-        raise ValueError(
-            f"e_from_newton requires at least 3 values, got {len(values)}"
-        )
-    p1 = power_sum(values, 1)
-    p2 = power_sum(values, 2)
-    p3 = power_sum(values, 3)
-    e1 = p1
-    e2 = (p1 * p1 - p2) // 2
-    e3 = (p1**3 - 3 * p1 * p2 + 2 * p3) // 6
-    return e1, e2, e3

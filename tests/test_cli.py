@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import colorstats
 from colorstats.cli import main
 from colorstats.coloring import Composition
 from colorstats.experiments import FamilySpec, run_regime
@@ -18,6 +19,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_every_public_name_resolves():
+    assert [name for name in colorstats.__all__ if not hasattr(colorstats, name)] == []
 
 
 class TestMoments:
@@ -98,6 +103,31 @@ class TestBadInput:
         code, _, err = run(capsys, "moments", "--graph", str(f), "--classes", "balanced:2")
         assert code == 2
         assert err.startswith(message) and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("3 1\n0 " + "1" * 100_000 + "\n", 2), ("1" * 5000 + " 1\n0 1\n", 1)],
+        ids=["endpoint", "header_n"],
+    )
+    def test_over_long_number_gives_a_short_error(self, capsys, tmp_path, text, line):
+        f = tmp_path / "long.txt"
+        f.write_text(text)
+        code, _, err = run(capsys, "moments", "--graph", str(f), "--classes", "balanced:2")
+        assert code == 2
+        assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
+        assert len(err) < 200, err[:300]
+
+    @pytest.mark.parametrize("grid", ["2000,40", "100,100"])
+    @pytest.mark.parametrize("command", ["regime", "rdcheck"])
+    def test_grid_not_strictly_increasing_exits_2(self, capsys, tmp_path, command, grid):
+        argv = {
+            "regime": ["regime", "--family", "star", "--classes", "3/4,1/4",
+                       "--out", str(tmp_path / "rows.json")],
+            "rdcheck": ["rdcheck", "--model", "gnp:p=1/2"],
+        }[command]
+        code, out, err = run(capsys, *argv, "--grid", grid)
+        assert code == 2 and out == ""
+        assert err == f"error: grid must be strictly increasing, got ({grid.replace(',', ', ')})\n"
 
     def test_leading_zeros_past_the_int_digit_limit(self, capsys, tmp_path):
         zeros = "0" * 5000

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+from collections.abc import Sequence
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +12,6 @@ from scipy.stats import chisquare
 
 from colorstats.coloring import (
     Composition,
-    count,
     count_batch,
     imbalance,
     prob_distinct_colors,
@@ -18,10 +19,42 @@ from colorstats.coloring import (
     sample,
     sample_batch,
 )
-from colorstats.graph import path
+from colorstats.graph import Graph, path
 from colorstats.oracle import compositions_of, multiset_permutations, total_colorings
 from colorstats.seeds import stream
 from colorstats.symfun import falling_factorial
+
+
+@dataclass(frozen=True)
+class EdgeCounts:
+    """Monochromatic edges per color, their total, and the bichromatic rest."""
+
+    per_color: tuple[int, ...]
+    mono: int
+    bi: int
+
+
+def count(g: Graph, colors: Sequence[int], s: int | None = None) -> EdgeCounts:
+    """Scalar reference for count_batch: monochromatic edges of g under one
+    coloring, by a Python loop over the edges.
+
+    `s` fixes the length of per_color; by default the largest color present
+    is used.  A color outside 1..s, or a coloring without one entry per
+    vertex, is refused.
+    """
+    if len(colors) != g.n:
+        raise ValueError(f"coloring has {len(colors)} entries, graph has n={g.n}")
+    if s is None:
+        s = max(colors, default=0)
+    if any(not 1 <= color <= s for color in colors):
+        raise ValueError(f"colors must lie in 1..{s}, got {min(colors)}..{max(colors)}")
+    per = [0] * s
+    for u, v in zip(g.u.tolist(), g.v.tolist()):
+        cu = colors[u]
+        if cu == colors[v]:
+            per[cu - 1] += 1
+    mono = sum(per)
+    return EdgeCounts(per_color=tuple(per), mono=mono, bi=g.m - mono)
 
 
 class TestComposition:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,12 @@ class TestParsing:
             FamilySpec(graph="star", coloring="balanced:2", grid=())
         with pytest.raises(ValueError, match=">= 4"):
             FamilySpec(graph="star", coloring="balanced:2", grid=(3,))
+
+    @pytest.mark.parametrize("grid", [(2000, 40), (40, 100, 100)])
+    def test_grid_must_strictly_increase(self, grid):
+        # the classifier reads the last entry as the largest n
+        with pytest.raises(ValueError, match=re.escape(f"strictly increasing, got {grid}")):
+            FamilySpec(graph="star", coloring="3/4,1/4", grid=grid)
 
     def test_family_kinds(self):
         assert FamilySpec(graph="gnp:p=0.1", coloring="balanced:2", grid=(10,)).is_random

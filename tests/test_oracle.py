@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from colorstats import oracle
-from colorstats.coloring import Composition, count, prob_distinct_colors
+from colorstats.coloring import Composition, prob_distinct_colors
 from colorstats.graph import Graph, path, stats
 from colorstats.moments import mean_M_L, var_common
 from colorstats.oracle import (
@@ -26,6 +26,7 @@ from colorstats.oracle import (
     verify_events,
     verify_formulas,
 )
+from test_coloring import count
 
 
 class TestMultisetPermutations:
@@ -154,22 +155,15 @@ class TestEventFrequency:
     def test_block_choice_is_irrelevant(self):
         c = Composition((2, 2, 1))
         table = arrangements(c)
+        # permuted columns put vertices (4, 1) and (2,), or (0, 3), in the blocks
         default = event_frequency(c, table, (2, 1))
-        scattered = event_frequency(c, table, (2, 1), sets=[(4, 1), (2,)])
+        scattered = event_frequency(c, table[:, [4, 1, 2, 0, 3]], (2, 1))
         assert default == scattered
         fixed_default = event_frequency(c, table, (2,), iota=(2,))
-        fixed_scattered = event_frequency(c, table, (2,), iota=(2,), sets=[(0, 3)])
+        fixed_scattered = event_frequency(c, table[:, [0, 3, 1, 2, 4]], (2,), iota=(2,))
         assert fixed_default == fixed_scattered
 
     def test_set_validation(self):
-        c = Composition((2, 2))
-        table = arrangements(c)
-        with pytest.raises(ValueError, match="disjoint"):
-            event_frequency(c, table, (2, 1), sets=[(0, 1), (1,)])
-        with pytest.raises(ValueError, match="match"):
-            event_frequency(c, table, (2, 1), sets=[(0, 1, 2), (3,)])
-        with pytest.raises(ValueError, match="range"):
-            event_frequency(c, table, (2,), iota=(1,), sets=[(0, 9)])
         c = Composition((2, 2, 1))
         with pytest.raises(ValueError, match="one color per block"):
             event_frequency(c, arrangements(c), (2, 1), iota=(1,))
@@ -194,7 +188,7 @@ class TestCorpus:
         a = corpus_graphs(max_n=6)
         b = corpus_graphs(max_n=6)
         assert [lbl for lbl, _ in a] == [lbl for lbl, _ in b]
-        assert all(ga.edges == gb.edges for (_, ga), (_, gb) in zip(a, b))
+        assert all(ga == gb for (_, ga), (_, gb) in zip(a, b))
         labels = [lbl for lbl, _ in a]
         assert len(set(labels)) == len(labels)
         for _, g in a:

@@ -83,7 +83,7 @@ class TestGeneration:
         spec = Gnp(50, Fraction(7, 100))
         a = generate(spec, stream(3))
         b = generate(spec, stream(3))
-        assert a.edges == b.edges
+        assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
 
     def test_config_sample_conservation(self):
         spec = ConfigModel(40, MIXED_LAW)
@@ -111,8 +111,6 @@ class TestClosedForm:
         # denominator (45/2)^2
         assert crit.numerator == Fraction(225)
         assert crit.ratio == Fraction(225 * 4, 45 * 45)
-        assert crit.mode == "closed_form"
-        assert crit.verdict == "inconclusive"
 
     def test_config_delta3(self):
         crit = ratio_closed_form(ConfigModel(500, DELTA3))
@@ -129,7 +127,6 @@ class TestClosedForm:
         geo = ratio_closed_form(GeometricTorus(40, r))
         bp = ratio_closed_form(Gnp(40, math.pi * r * r))
         assert geo.ratio == pytest.approx(float(bp.ratio), rel=1e-12)
-        assert geo.model.startswith("geo(")
 
     def test_star_like_stays_flat(self):
         ratios = [float(ratio_closed_form(star_like(n)).ratio) for n in (200, 400, 800)]
@@ -204,7 +201,6 @@ class TestTrendClassifier:
             Fraction(4, n - 1) for n in (20, 40, 80, 160)
         ]
         assert res.verdict == "concentrates"
-        assert all(p.verdict == "concentrates" for p in res.points)
         res = ratio_over_grid(star_like, [200, 400, 800])
         assert res.verdict == "anti_concentrates"
 
@@ -214,7 +210,7 @@ class TestTrendClassifier:
             trials=100, seed=9,
         )
         assert res.verdict == "concentrates"
-        assert all(p.mode == "monte_carlo" for p in res.points)
+        assert all(p.ratio_se is not None for p in res.points)
 
     def test_grid_mode_validated(self):
         with pytest.raises(ValueError, match="mode"):

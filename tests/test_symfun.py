@@ -8,13 +8,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 from colorstats.symfun import (
-    e_from_newton,
     elementary_symmetric,
     falling_factorial,
     power_sum,
 )
 
 int_vectors = st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=8)
+
+
+def e_from_newton(values):
+    """(e1, e2, e3) computed from power sums via Newton's identities: an
+    independent route to cross-check the DP in `elementary_symmetric`.  The
+    divisions are exact for integer inputs; needs len(values) >= 3."""
+    if len(values) < 3:
+        raise ValueError(f"e_from_newton requires at least 3 values, got {len(values)}")
+    p1, p2, p3 = (power_sum(values, k) for k in (1, 2, 3))
+    return p1, (p1 * p1 - p2) // 2, (p1**3 - 3 * p1 * p2 + 2 * p3) // 6
 
 
 def brute_elementary(values, k):
