@@ -105,16 +105,20 @@ class TestBadInput:
         assert err.startswith(message) and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "text, line",
-        [("3 1\n0 " + "1" * 100_000 + "\n", 2), ("1" * 5000 + " 1\n0 1\n", 1)],
-        ids=["endpoint", "header_n"],
+        "text, line, message",
+        [("3 1\n0 " + "1" * 100_000 + "\n", 2, ""),
+         ("1" * 5000 + " 1\n0 1\n", 1, ""),
+         ("3 1\n0 +" + "1" * 100_000 + "\n", 2, "edge line must be two integers"),
+         ("1 " * 50_000 + "\n0 1\n", 1, "header must be 'n m'"),
+         ("3 +" + "1" * 99_997 + "\n0 1\n", 1, "header must be two integers")],
+        ids=["endpoint", "header_n", "edge_line", "header_tokens", "header_number"],
     )
-    def test_over_long_number_gives_a_short_error(self, capsys, tmp_path, text, line):
+    def test_over_long_number_gives_a_short_error(self, capsys, tmp_path, text, line, message):
         f = tmp_path / "long.txt"
         f.write_text(text)
         code, _, err = run(capsys, "moments", "--graph", str(f), "--classes", "balanced:2")
         assert code == 2
-        assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
+        assert err.startswith(f"error: line {line}: {message}") and err.count("\n") == 1
         assert len(err) < 200, err[:300]
 
     @pytest.mark.parametrize("grid", ["2000,40", "100,100"])

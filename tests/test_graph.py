@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -236,6 +237,14 @@ def reference_load(text):
     return tuple(sorted(seen))
 
 
+def load_outcome(text):
+    """load_edge_list's answer in reference_load's form."""
+    try:
+        return edges(load_edge_list(io.StringIO(text)))
+    except EdgeListError as err:
+        return err.line, next(k for k in FAULT_KINDS if k in str(err))
+
+
 @st.composite
 def edge_list_texts(draw):
     """A header (n small or past int64), then edge, blank and malformed lines
@@ -256,6 +265,41 @@ def edge_list_texts(draw):
     text = f"{n} {m}"
     for line in body:
         text += draw(breaks) + draw(st.sampled_from(["", " "])) + line
+    return text + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+@st.composite
+def plain_edge_list_texts(draw):
+    """Edge lists of only ASCII digits, "-", spaces, tabs and LF or CRLF line
+    ends, the files numpy's reader takes: distinct valid edges written with
+    leading zeros, "-0" and blank lines, and in a third of the draws one flaw:
+    n past int64, a number near +-2**63, a line of one or three numbers or a
+    wrong m."""
+    flaw = draw(st.sampled_from(["n", "number", "line", "m", *[""] * 8]))
+    n = 2**63 if flaw == "n" else draw(st.one_of(st.integers(2, 40), st.just(2**63 - 1)))
+    vertex = st.one_of(st.integers(0, min(n, 40) - 1), st.just(n - 1))
+    pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
+                          unique_by=frozenset, min_size=1, max_size=10))
+    spelt = st.sampled_from(["{}", "0{}", "000{}"])
+
+    def number(x):
+        return "-0" if x == 0 and draw(st.booleans()) else draw(spelt).format(x)
+
+    space = st.sampled_from([" ", "\t", "  ", " \t "])
+    margin = st.sampled_from(["", "", " ", "\t"])
+    body = [draw(margin) + number(u) + draw(space) + number(v) + draw(margin) for u, v in pairs]
+    for _ in range(draw(st.integers(0, 3))):
+        body.insert(draw(st.integers(0, len(body))), draw(st.sampled_from(["", " ", "\t"])))
+    odd = {"number": st.sampled_from([f"{x} 0" for x in (2**63 - 1, 2**63, -(2**63), -(2**63) - 1, -1, n)]),
+           "line": st.sampled_from(["1", "1 2 3", "0\t1 2"])}.get(flaw)
+    if odd is not None:
+        body.insert(draw(st.integers(0, len(body))), draw(odd))
+    m = sum(1 for line in body if line.strip())
+    if flaw == "m":
+        m = draw(st.integers(0, 12).filter(lambda k: k != m))
+    text = f"{n} {m}"
+    for line in body:
+        text += draw(st.sampled_from(["\n", "\r\n"])) + line
     return text + draw(st.sampled_from(["", "\n", "\r\n"]))
 
 
@@ -339,9 +383,33 @@ class TestEdgeListIO:
 
     @given(edge_list_texts())
     def test_matches_per_line_reference(self, text):
-        want = reference_load(text)
+        assert load_outcome(text) == reference_load(text)
+
+    @given(plain_edge_list_texts())
+    def test_plain_files_match_per_line_reference(self, text):
+        assert load_outcome(text) == reference_load(text)
+
+    @pytest.mark.parametrize(
+        "text, want",
+        [("3 0\n", ()), ("3 0\n\n \t\n", ()), ("3 2\n\n \n", (3, "declared")),
+         ("3 1\r0 2\r", ((0, 2),)), ("3 1\r0 1\n0 2\n", (3, "more than")),
+         ("3 1\n0 2\r", ((0, 2),)), ("3 1\n0 2\n\x0c", ((0, 2),)),
+         (f"{2**63} 1\n0 1\n", (None, "vertices"))],
+    )
+    def test_bodies_numpy_does_not_read(self, text, want):
+        assert load_outcome(text) == want == reference_load(text)
+
+    def test_plain_file_loads_in_at_most_8x_its_size(self, tmp_path):
+        p = tmp_path / "g.txt"
+        g = regular_circulant(20_000, 10)
+        save_edge_list(g, p)
+        size = p.stat().st_size
+        assert size >= 1 << 20
+        tracemalloc.start()
         try:
-            got = edges(load_edge_list(io.StringIO(text)))
-        except EdgeListError as err:
-            got = (err.line, next(k for k in FAULT_KINDS if k in str(err)))
-        assert got == want
+            got = load_edge_list(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == g
+        assert peak <= 8 * size, f"peak {peak / size:.1f}x the file"
