@@ -25,9 +25,9 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from .coloring import Composition, count_batch, sample, sample_batch
-from .graph import Graph, graph_template, parse_rational, write_text
+from .graph import Graph, graph_template, parse_number, write_text
 from .moments import full_report, pz_lower_bound, record_json, records_csv
-from .randgraph import MODEL_PARAMS, ModelSpec, fit_power_law, generate, parse_model_template
+from .randgraph import MODEL_KEYS, ModelSpec, check_grid, fit_power_law, generate, parse_model_template
 from .seeds import stream
 
 # Regime thresholds: the dispersion ratio is treated as order-one when it
@@ -50,7 +50,7 @@ def parse_coloring_rule(text: str) -> Callable[[int], Composition]:
             raise ValueError("balanced rule needs a class count, e.g. balanced:2")
         s_int = int(s)
         return lambda n: Composition.balanced(n, s_int)
-    ratios = tuple(parse_rational(tok) for tok in text.split(","))
+    ratios = tuple(parse_number(tok) for tok in text.split(","))
     return lambda n: Composition.from_ratios(n, ratios)
 
 
@@ -72,22 +72,12 @@ class FamilySpec:
             raise ValueError("family grid must be nonempty")
         if any(n < 4 for n in self.grid):
             raise ValueError(f"grid entries must be >= 4, got {self.grid}")
-        if any(a >= b for a, b in zip(self.grid, self.grid[1:])):
-            raise ValueError(f"grid must be strictly increasing, got {self.grid}")
+        check_grid(self.grid)
 
     @property
     def is_random(self) -> bool:
         kind = self.graph.partition(":")[0].strip().lower()
-        return kind in MODEL_PARAMS
-
-    def graph_for(self, n: int) -> Graph:
-        return graph_template(self.graph)(n)
-
-    def model_for(self, n: int) -> ModelSpec:
-        return parse_model_template(self.graph)(n)
-
-    def composition_for(self, n: int) -> Composition:
-        return parse_coloring_rule(self.coloring)(n)
+        return kind in MODEL_KEYS
 
 
 @dataclass(frozen=True)
@@ -122,12 +112,14 @@ def _empirical_random(
     return float(ms.mean()), float(ms.var(ddof=1))
 
 
-def _regime_point(family: FamilySpec, n: int, trials: int, seed: int):
-    c = family.composition_for(n)
+def _regime_point(family: FamilySpec, at: Callable, rule: Callable, n: int, trials: int, seed: int):
+    """Exact report and empirical moments at n; `at` and `rule` are the
+    family's graph or model template and its coloring rule."""
+    c = rule(n)
     if family.is_random:
         # exact columns come from one representative draw; the empirical
         # columns average over fresh graphs per trial
-        model = family.model_for(n)
+        model = at(n)
         for attempt in range(100):
             g = generate(model, stream(seed, n, 0, attempt))
             if g.m > 0:
@@ -139,7 +131,7 @@ def _regime_point(family: FamilySpec, n: int, trials: int, seed: int):
             _empirical_random(model, c, trials, seed, n) if trials > 0 else (None, None)
         )
     else:
-        g = family.graph_for(n)
+        g = at(n)
         report = full_report(g, c)
         emp = (
             _empirical_fixed(g, c, trials, stream(seed, n, 1))
@@ -181,13 +173,15 @@ def run_regime(
     if trials != 0 and trials < 2:
         raise ValueError(f"trials must be 0 (exact only) or at least 2, got {trials}")
     grid = family.grid
+    at = (parse_model_template if family.is_random else graph_template)(family.graph)
+    rule = parse_coloring_rule(family.coloring)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda n: _regime_point(family, n, trials, seed), grid))
+            results = list(pool.map(lambda n: _regime_point(family, at, rule, n, trials, seed), grid))
     else:
         # in the caller's thread: a one-worker pool gives each call a fresh
         # thread and malloc arena, and the process's peak RSS then varies
-        results = [_regime_point(family, n, trials, seed) for n in grid]
+        results = [_regime_point(family, at, rule, n, trials, seed) for n in grid]
     regime = _classify(
         grid,
         [rep.zeta_sq for rep, _ in results],

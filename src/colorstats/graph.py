@@ -1,4 +1,5 @@
-"""Simple undirected graphs: construction, degree statistics, file IO.
+"""Simple undirected graphs: construction, degree statistics, file IO, and
+the spec grammar (spec_template, parse_number) that every spec is read by.
 
 Graphs are immutable: a vertex count plus two read-only int64 arrays u and
 v, edge i joining u[i] < v[i], sorted by (u, v).  The statistic collected
@@ -8,7 +9,10 @@ formulas consume besides n and m.
 
 from __future__ import annotations
 
+import ast
 import io
+import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -181,23 +185,31 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
     return Graph.from_edges(offset, np.concatenate(shifted))
 
 
+# family kind -> generator(n, *values of the kind's FAMILY_KEYS, as ints)
 _FAMILIES = {
     "complete": complete,
     "star": star,
     "path": path,
     "cycle": cycle,
+    "circulant": regular_circulant,
 }
+FAMILY_KEYS = {"complete": (), "star": (), "path": (), "cycle": (), "circulant": ("d",)}
 
 
 def parse_params(rest: str) -> dict[str, str]:
     """key=value pairs split on commas; a fragment without '=' continues the
-    previous value (degree laws contain commas of their own)."""
+    previous value (degree laws contain commas of their own).  An empty or
+    repeated key is a ValueError."""
     out: dict[str, str] = {}
     last = None
     for part in rest.split(","):
         if "=" in part:
             key, _, val = part.partition("=")
             key = key.strip()
+            if not key:
+                raise ValueError(f"empty parameter name in {part.strip()!r}")
+            if key in out:
+                raise ValueError(f"parameter {key!r} given twice")
             out[key] = val.strip()
             last = key
         elif last is not None:
@@ -207,49 +219,113 @@ def parse_params(rest: str) -> dict[str, str]:
     return out
 
 
-def parse_rational(tok: str) -> Fraction:
-    """Fraction from a decimal or p/q token; a zero denominator is a ValueError."""
+_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv}
+_FUNCS = {"sqrt": math.sqrt, "log": math.log}
+# a power may not exceed 2**MAX_POWER_BITS in magnitude, so n**n**n fails
+# at once instead of running away
+MAX_POWER_BITS = 1024
+
+
+def _eval_node(node: ast.AST, n: int):
+    match node:
+        case ast.Constant(value=int() | float() as v) if type(v) is not bool:
+            return v
+        case ast.Name(id="n"):
+            return n
+        case ast.Name(id="pi"):
+            return math.pi
+        case ast.UnaryOp(op=ast.USub(), operand=x):
+            return -_eval_node(x, n)
+        case ast.BinOp(left=x, op=ast.Pow(), right=y):
+            base, exp = _eval_node(x, n), _eval_node(y, n)
+            if abs(exp) * math.log2(max(abs(base), 2)) > MAX_POWER_BITS:
+                raise ValueError(f"power exceeds 2**{MAX_POWER_BITS}")
+            return base**exp
+        case ast.BinOp(left=x, op=op, right=y) if type(op) in _OPS:
+            return _OPS[type(op)](_eval_node(x, n), _eval_node(y, n))
+        case ast.Call(func=ast.Name(id=f), args=[x], keywords=[]) if f in _FUNCS:
+            return _FUNCS[f](_eval_node(x, n))
+    raise ValueError(f"{ast.unparse(node)!r} is not allowed")
+
+
+def parse_number(text: str, n: int | None = None) -> int | Fraction | float:
+    """A plain number ("3", "0.1", "3/4") as an exact int or Fraction; given
+    n, also an expression in n ("4/n", "n**-0.5") built from numbers, n, pi,
+    + - * / **, unary minus, sqrt and log.  A zero denominator is a
+    ValueError."""
     try:
-        return Fraction(tok)
+        f = Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"{tok.strip()!r} has a zero denominator") from None
+        raise ValueError(f"{text.strip()!r} has a zero denominator") from None
+    except ValueError:
+        if n is None:
+            raise
+    else:
+        return int(f) if f.denominator == 1 else f
+    try:
+        val = _eval_node(ast.parse(text.strip(), mode="eval").body, n)
+    # MemoryError: the parser's report of input nested too deeply
+    except (SyntaxError, MemoryError, RecursionError, ArithmeticError, TypeError, ValueError) as exc:
+        raise ValueError(f"cannot evaluate parameter {text!r}: {exc}") from exc
+    if not isinstance(val, (int, float)):
+        raise ValueError(f"parameter {text!r} is not a real number: {val!r}")
+    return val
+
+
+def spec_template(spec: str, kinds: dict[str, tuple[str, ...]], build: Callable, what: str) -> Callable:
+    """Template n -> object from "kind", "kind:N" or "kind:key=value,...".
+
+    `kinds` maps each kind to the keys it needs besides n; any other key is
+    refused.  build(kind, params) runs once, with n taken out of params, and
+    returns the maker n -> object.  An n given in the spec is the default
+    and a grid n overrides it.
+    """
+    kind, _, rest = spec.partition(":")
+    kind = kind.strip().lower()
+    if kind not in kinds:
+        raise ValueError(f"unknown {what} kind {kind!r}")
+    params = parse_params(rest) if "=" in rest else {"n": rest.strip()} if rest.strip() else {}
+    keys = ("n", *kinds[kind])
+    if unknown := [key for key in params if key not in keys]:
+        raise ValueError(f"{what} {kind!r} has no parameter {unknown[0]!r}; it takes {', '.join(keys)}")
+    if missing := [key for key in kinds[kind] if key not in params]:
+        raise ValueError(f"{what} {kind!r} needs parameter {missing[0]!r}")
+    default_n = int(params.pop("n")) if "n" in params else None
+    make = build(kind, params)
+
+    def at(n: int | None):
+        n = default_n if n is None else n
+        if n is None:
+            raise ValueError(f"{what} spec {spec!r} does not fix n")
+        return make(n)
+
+    return at
 
 
 def graph_template(spec: str) -> Callable[[int | None], Graph]:
     """Graph family from a compact string; n is supplied at call time.
 
-    Forms: "star:8", "cycle:12", "path:5", "complete:6", "circulant:n=10,d=4",
-    "threshold:IDID".  An n given in the string is the default and a grid n
-    overrides it, so "star" and "circulant:d=4" are grid-only families.  A
-    threshold graph fixes its own order and takes no grid n.
+    Forms: "star:8", "cycle:12", "path:5", "complete:6", "circulant:n=10,d=4"
+    (see spec_template), and "threshold:IDID".  An n given in the string is
+    the default and a grid n overrides it, so "star" and "circulant:d=4" are
+    grid-only families.  A threshold graph fixes its own order and takes no
+    grid n.
     """
     name, _, rest = spec.partition(":")
-    name = name.strip().lower()
-    default_n = None
-    if name in _FAMILIES:
-        if rest.strip():
-            default_n = int(rest)
-    elif name == "circulant":
-        params = parse_params(rest)
-        if "d" not in params:
-            raise ValueError("circulant spec needs a degree, e.g. circulant:n=10,d=4")
-        d = int(params["d"])
-        if "n" in params:
-            default_n = int(params["n"])
-    elif name != "threshold":
-        raise ValueError(f"unknown deterministic family {name!r}")
+    if name.strip().lower() == "threshold":
 
-    def at(n: int | None) -> Graph:
-        if name == "threshold":
+        def fixed(n: int | None) -> Graph:
             if n is not None:
                 raise ValueError(f"threshold spec {spec!r} fixes n and takes no grid n")
             return threshold_graph(rest)
-        n = default_n if n is None else n
-        if n is None:
-            raise ValueError(f"graph spec {spec!r} does not fix n")
-        return regular_circulant(n, d) if name == "circulant" else _FAMILIES[name](n)
 
-    return at
+        return fixed
+
+    def build(kind: str, params: dict[str, str]) -> Callable[[int], Graph]:
+        args = [int(params[key]) for key in FAMILY_KEYS[kind]]
+        return lambda n: _FAMILIES[kind](n, *args)
+
+    return spec_template(spec, FAMILY_KEYS, build, "graph")
 
 
 def graph_from_spec(spec: str) -> Graph:

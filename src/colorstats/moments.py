@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import Field, dataclass, fields
 from fractions import Fraction
 
@@ -151,19 +151,17 @@ def _rational(x: Fraction | float | None):
     return {"num": f.numerator, "den": f.denominator}
 
 
-def record_json(rec, names: Sequence[str] | None = None) -> dict:
+def record_json(rec) -> dict:
     """A dataclass record as a JSON-ready dict, fields in declaration order.
 
     A field declared with Fraction (alone, in a tuple or in a union) is
     written as {"num", "den"}, or a list of them for a tuple, followed by a
     "<name>_float" mirror; a float or None in such a field is written as
     is, with float(x) or None as its mirror.  Other tuples become lists;
-    everything else is written as is.  `names` keeps only those fields.
+    everything else is written as is.
     """
     out: dict = {}
     for f in fields(rec):
-        if names is not None and f.name not in names:
-            continue
         val = getattr(rec, f.name)
         if not _is_rational(f):
             out[f.name] = list(val) if isinstance(val, tuple) else val

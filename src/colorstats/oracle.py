@@ -104,8 +104,11 @@ def enumerate_colorings(g: Graph, c: Composition, table: np.ndarray) -> ExactDis
         cu = table[:, u]
         same = cu == table[:, v]
         per_color[same, cu[same] - 1] += 1
-    outcomes, freq = np.unique(per_color, axis=0, return_counts=True)
-    support = dict(zip(map(tuple, outcomes.tolist()), freq.tolist()))
+    # rows sorted by column 0 first, then the runs of equal rows
+    rows = per_color[np.lexsort(per_color.T[::-1])]
+    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+    freq = np.diff(np.r_[starts, len(rows)])
+    support = dict(zip(map(tuple, rows[starts].tolist()), freq.tolist()))
     return ExactDistribution(support=support, total=len(table))
 
 

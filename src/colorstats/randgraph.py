@@ -14,16 +14,14 @@ parameters are rational; float parameters flow through as floats.
 
 from __future__ import annotations
 
-import ast
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .graph import Graph, parse_params, parse_rational
+from .graph import Graph, parse_number, spec_template
 from .seeds import stream
 
 # Grid verdict thresholds.  "concentrates": fitted power-law exponent of the
@@ -186,7 +184,9 @@ def _bernoulli_pair_edges(n: int, p: float, rng: np.random.Generator) -> np.ndar
     while pos < total - 1:
         expect = (total - 1 - pos) * p
         block = max(16, int(expect + 4.0 * math.sqrt(expect) + 10.0))
-        gaps = rng.geometric(p, size=block)
+        # from pos >= -1 a gap of total + 1 already ends the draw; the clip keeps
+        # the cumsum from wrapping when p < ~1e-18 saturates draws at 2**63 - 1
+        gaps = np.minimum(rng.geometric(p, size=block), total + 1)
         hits = pos + np.cumsum(gaps)
         inside = hits[hits < total]
         chunks.append(inside)
@@ -290,8 +290,6 @@ class RatioCriterion:
     """
 
     n: int
-    numerator: Fraction | float
-    denominator: Fraction | float
     ratio: Fraction | float | None
     ratio_se: float | None = None
     post_erasure_ratio: float | None = None
@@ -352,7 +350,7 @@ def ratio_closed_form(spec: ModelSpec) -> RatioCriterion:
     else:
         raise TypeError(f"unknown model spec {spec!r}")
     ratio = None if den == 0 else num / den
-    return RatioCriterion(n=n, numerator=num, denominator=den, ratio=ratio)
+    return RatioCriterion(n=n, ratio=ratio)
 
 
 def _sample_stats(spec: ModelSpec, trials: int, seed: int, key: tuple[int, ...]):
@@ -393,7 +391,7 @@ def ratio_monte_carlo(
     mean_sig = float(sig.mean())
     mean_m = float(ms.mean())
     if mean_m == 0.0:
-        return RatioCriterion(n=spec.n, numerator=mean_sig, denominator=0.0, ratio=None)
+        return RatioCriterion(n=spec.n, ratio=None)
     ratio = mean_sig / mean_m**2
     var_sig = float(sig.var(ddof=1)) / trials
     var_m = float(ms.var(ddof=1)) / trials
@@ -409,12 +407,17 @@ def ratio_monte_carlo(
         post_ratio = float(post[:, 0].mean() / post[:, 1].mean() ** 2)
     return RatioCriterion(
         n=spec.n,
-        numerator=mean_sig,
-        denominator=mean_m**2,
         ratio=ratio,
         ratio_se=math.sqrt(max(var_ratio, 0.0)),
         post_erasure_ratio=post_ratio,
     )
+
+
+def check_grid(ns: Sequence[int]) -> None:
+    """Refuse an n-grid that is not strictly increasing: the trend verdicts
+    read its last entry as the largest n."""
+    if any(a >= b for a, b in zip(ns, ns[1:])):
+        raise ValueError(f"grid must be strictly increasing, got {tuple(ns)}")
 
 
 def fit_power_law(ns: Sequence[int], values: Sequence[float]) -> float:
@@ -461,6 +464,7 @@ def ratio_over_grid(
     """Evaluate the ratio criterion on each n and classify the trend."""
     if mode not in ("closed_form", "monte_carlo"):
         raise ValueError(f"mode must be closed_form or monte_carlo, got {mode!r}")
+    check_grid(ns)
     points = []
     for i, n in enumerate(ns):
         spec = template(int(n))
@@ -514,6 +518,7 @@ def assumption_star_check(
     """Estimate Var(m) / E[m]^2 on an n-grid and report whether it vanishes."""
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
+    check_grid(ns)
     values = []
     for i, n in enumerate(ns):
         ms = _edge_count_samples(template(int(n)), trials, stream(seed, i))
@@ -533,68 +538,8 @@ def assumption_star_check(
 
 # ── model spec strings ────────────────────────────────────────────────────
 
-# model kind -> the parameter its spec string must give (None: n only)
-MODEL_PARAMS = {"gnp": "p", "config": "law", "geo": "r", "cl": "w", "starlike": None}
-
-_PARAM_OPS = {
-    ast.Add: operator.add,
-    ast.Sub: operator.sub,
-    ast.Mult: operator.mul,
-    ast.Div: operator.truediv,
-}
-_PARAM_FUNCS = {"sqrt": math.sqrt, "log": math.log}
-# a power may not exceed 2**MAX_POWER_BITS in magnitude, so n**n**n fails
-# at once instead of running away
-MAX_POWER_BITS = 1024
-
-
-def _eval_node(node: ast.AST, n: int):
-    match node:
-        case ast.Constant(value=int() | float() as v) if type(v) is not bool:
-            return v
-        case ast.Name(id="n"):
-            return n
-        case ast.Name(id="pi"):
-            return math.pi
-        case ast.UnaryOp(op=ast.USub(), operand=x):
-            return -_eval_node(x, n)
-        case ast.BinOp(left=x, op=ast.Pow(), right=y):
-            base, exp = _eval_node(x, n), _eval_node(y, n)
-            if abs(exp) * math.log2(max(abs(base), 2)) > MAX_POWER_BITS:
-                raise ValueError(f"power exceeds 2**{MAX_POWER_BITS}")
-            return base**exp
-        case ast.BinOp(left=x, op=op, right=y) if type(op) in _PARAM_OPS:
-            return _PARAM_OPS[type(op)](_eval_node(x, n), _eval_node(y, n))
-        case ast.Call(func=ast.Name(id=f), args=[x], keywords=[]) if f in _PARAM_FUNCS:
-            return _PARAM_FUNCS[f](_eval_node(x, n))
-    raise ValueError(f"{ast.unparse(node)!r} is not allowed")
-
-
-def _eval_param(text: str, n: int | None):
-    """Numeric parameter: exact Fraction for plain numbers ("0.1", "3/4"),
-    otherwise an expression in n ("4/n", "n**-0.5") built from numbers, n,
-    pi, + - * / **, unary minus, sqrt and log."""
-    try:
-        f = Fraction(text)
-        return int(f) if f.denominator == 1 else f
-    except (ValueError, ZeroDivisionError):
-        pass
-    if n is None:
-        raise ValueError(f"parameter {text!r} needs n, which is not set")
-    try:
-        val = _eval_node(ast.parse(text.strip(), mode="eval").body, n)
-    except (
-        SyntaxError,
-        MemoryError,  # the parser's report of input nested too deeply
-        RecursionError,
-        ArithmeticError,
-        TypeError,
-        ValueError,
-    ) as exc:
-        raise ValueError(f"cannot evaluate parameter {text!r}: {exc}") from exc
-    if not isinstance(val, (int, float)):
-        raise ValueError(f"parameter {text!r} is not a real number: {val!r}")
-    return val
+# model kind -> the keys its spec must give besides n
+MODEL_KEYS = {"gnp": ("p",), "config": ("law",), "geo": ("r",), "cl": ("w",), "starlike": ()}
 
 
 def _parse_law(text: str) -> DegreeLaw:
@@ -605,7 +550,7 @@ def _parse_law(text: str) -> DegreeLaw:
         if not sep:
             raise ValueError(f"degree law entries are value:prob, got {pair!r}")
         values.append(int(v))
-        probs.append(parse_rational(p))
+        probs.append(parse_number(p))
     return DegreeLaw(tuple(values), tuple(probs))
 
 
@@ -614,48 +559,35 @@ def _load_weights(path: str) -> tuple:
         tokens = fh.read().split()
     if not tokens:
         raise ValueError(f"weight file {path!r} is empty")
-    out = []
-    for tok in tokens:
-        f = parse_rational(tok)
-        out.append(int(f) if f.denominator == 1 else f)
-    return tuple(out)
+    return tuple(parse_number(tok) for tok in tokens)
 
 
-def parse_model_template(text: str) -> Callable[[int], ModelSpec]:
+def _model_maker(kind: str, params: dict[str, str]) -> Callable[[int], ModelSpec]:
+    """n -> model for one parsed spec; a law or a weight file is read here,
+    once, and p and r are evaluated at each n."""
+    if kind == "gnp":
+        return lambda n: Gnp(n, parse_number(params["p"], n))
+    if kind == "geo":
+        return lambda n: GeometricTorus(n, float(parse_number(params["r"], n)))
+    if kind == "config":
+        law = _parse_law(params["law"])
+        return lambda n: ConfigModel(n, law)
+    if kind == "cl":
+        weights = _load_weights(params["w"])
+        return lambda n: ChungLu(n, weights)
+    return star_like
+
+
+def parse_model_template(text: str) -> Callable[[int | None], ModelSpec]:
     """Model template from a spec string; n is supplied at call time.
 
     Forms: "gnp:n=500,p=0.1", "config:n=500,law=3:1.0", "geo:n=500,r=0.1",
-    "cl:n=500,w=weights.txt", "starlike:n=500".  An n given in the string
-    is the default; grid evaluation overrides it.  p and r may be
-    expressions in n, e.g. "p=4/n".
+    "cl:n=500,w=weights.txt", "starlike:n=500" (see graph.spec_template;
+    MODEL_KEYS lists each kind's keys).  An n given in the string is the
+    default; grid evaluation overrides it.  p and r may be expressions in
+    n, e.g. "p=4/n" (see graph.parse_number).
     """
-    kind, sep, rest = text.partition(":")
-    kind = kind.strip().lower()
-    if kind not in MODEL_PARAMS:
-        raise ValueError(f"unknown model kind {kind!r}")
-    required = MODEL_PARAMS[kind]
-    if not sep and required is not None:
-        raise ValueError(f"model spec needs parameters, got {text!r}")
-    params = parse_params(rest) if rest else {}
-    if required is not None and required not in params:
-        raise ValueError(f"model {kind!r} needs parameter {required!r}")
-    default_n = int(params["n"]) if "n" in params else None
-
-    def at(n: int | None) -> ModelSpec:
-        n = n if n is not None else default_n
-        if n is None:
-            raise ValueError(f"model spec {text!r} does not fix n")
-        if kind == "gnp":
-            return Gnp(n, _eval_param(params["p"], n))
-        if kind == "config":
-            return ConfigModel(n, _parse_law(params["law"]))
-        if kind == "geo":
-            return GeometricTorus(n, float(_eval_param(params["r"], n)))
-        if kind == "cl":
-            return ChungLu(n, _load_weights(params["w"]))
-        return star_like(n)
-
-    return at
+    return spec_template(text, MODEL_KEYS, _model_maker, "model")
 
 
 def parse_model(text: str) -> ModelSpec:

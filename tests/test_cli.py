@@ -153,7 +153,7 @@ class TestBadInput:
         assert exc.value.code == 2
         assert "expected a positive integer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ["classes", "law", "weights"])
+    @pytest.mark.parametrize("kind", ["classes", "law", "weights", "gnp"])
     def test_zero_denominator_exits_2(self, capsys, tmp_path, kind):
         weights = tmp_path / "w.txt"
         weights.write_text("1 2\n1/0\n")
@@ -162,10 +162,41 @@ class TestBadInput:
                         "--out", str(tmp_path / "rows.json")],
             "law": ["rdcheck", "--model", "config:n=50,law=3:1/0"],
             "weights": ["rdcheck", "--model", f"cl:n=3,w={weights}"],
+            "gnp": ["rdcheck", "--model", "gnp:n=50,p=1/0"],
         }[kind]
         code, _, err = run(capsys, *argv)
         assert code == 2
-        assert err.startswith("error:") and "'1/0'" in err
+        assert err == "error: '1/0' has a zero denominator\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["rdcheck", "--model", "gnp:n=10,p=1/2,n=20"], "parameter 'n' given twice"),
+            (["rdcheck", "--model", "gnp:n=10,p=1/2,zz=3"],
+             "model 'gnp' has no parameter 'zz'; it takes n, p"),
+            (["rdcheck", "--model", "gnp:n=10,p=1/2,=3"], "empty parameter name in '=3'"),
+            (["moments", "--graph", "circulant:n=10,d=4,zz=1", "--classes", "5,5"],
+             "graph 'circulant' has no parameter 'zz'; it takes n, d"),
+        ],
+        ids=["repeated", "unknown", "empty", "family"],
+    )
+    def test_spec_key_refused_exits_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("model", ["geo:n=10,r=1e400", "gnp:n=10,p=1e-400"])
+    def test_overflow_exits_2(self, capsys, model):
+        code, out, err = run(capsys, "rdcheck", "--model", model)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_tiny_p_comes_up_edgeless(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "regime", "--family", "gnp:p=1e-300", "--classes", "1,1", "--grid", "8",
+            "--out", str(tmp_path / "rows.json"),
+        )
+        assert code == 2 and "keeps coming up edgeless" in err
 
     @pytest.mark.parametrize("trials", ["1", "-3"])
     def test_regime_trial_count_refused(self, capsys, tmp_path, trials):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from colorstats import experiments, randgraph
 from colorstats.coloring import Composition
 from colorstats.experiments import (
     FamilySpec,
@@ -15,8 +16,9 @@ from colorstats.experiments import (
     run_comparison,
     run_regime,
 )
-from colorstats.graph import path, star
-from colorstats.moments import record_json
+from colorstats.graph import path, regular_circulant, star
+from colorstats.moments import full_report, record_json
+from colorstats.randgraph import parse_model_template
 
 STAR_SKEWED = FamilySpec(graph="star", coloring="3/4,1/4", grid=(40, 100, 250))
 CYCLE_BALANCED = FamilySpec(graph="cycle", coloring="balanced:2", grid=(50, 100, 200))
@@ -52,15 +54,27 @@ class TestParsing:
         assert FamilySpec(graph="gnp:p=0.1", coloring="balanced:2", grid=(10,)).is_random
         assert not STAR_SKEWED.is_random
         fam = FamilySpec(graph="circulant:d=4", coloring="balanced:2", grid=(10,))
-        g = fam.graph_for(10)
-        assert g.degrees.tolist() == [4] * 10
-        with pytest.raises(ValueError, match="unknown deterministic"):
-            FamilySpec(graph="wheel", coloring="balanced:2", grid=(8,)).graph_for(8)
+        rows = run_regime(fam)
+        assert rows[0].zeta_sq == full_report(regular_circulant(10, 4), Composition((5, 5))).zeta_sq
+        with pytest.raises(ValueError, match="unknown graph kind 'wheel'"):
+            run_regime(FamilySpec(graph="wheel", coloring="balanced:2", grid=(8,)))
 
     def test_family_model_and_coloring(self):
         fam = FamilySpec(graph="gnp:p=4/n", coloring="balanced:2", grid=(100,))
-        assert fam.model_for(100).p == pytest.approx(0.04)
-        assert fam.composition_for(100) == Composition((50, 50))
+        assert parse_model_template(fam.graph)(100).p == pytest.approx(0.04)
+        assert parse_coloring_rule(fam.coloring)(100) == Composition((50, 50))
+
+    def test_specs_parsed_once_per_sweep(self, monkeypatch):
+        calls = []
+
+        def counted(module, name):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda text: calls.append(name) or real(text))
+
+        counted(experiments, "parse_coloring_rule")
+        counted(randgraph, "_parse_law")
+        run_regime(FamilySpec(graph="config:law=3:1", coloring="3/4,1/4", grid=(40, 80, 160)))
+        assert sorted(calls) == ["_parse_law", "parse_coloring_rule"]
 
 
 class TestComparison:

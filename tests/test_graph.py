@@ -182,6 +182,7 @@ class TestGenerators:
         assert graph_from_spec("star:8").m == 7
         assert graph_from_spec("circulant:n=10,d=4").m == 20
         assert graph_from_spec("threshold:IDID").m == 4
+        assert graph_from_spec("star:n=8") == graph_from_spec("star:8")
         with pytest.raises(ValueError):
             graph_from_spec("mystery:4")
 
@@ -191,7 +192,7 @@ class TestGenerators:
         assert graph_template("circulant:d=4")(10) == graph_from_spec("circulant:n=10,d=4")
         with pytest.raises(ValueError, match="does not fix n"):
             graph_from_spec("circulant:d=4")
-        with pytest.raises(ValueError, match="needs a degree"):
+        with pytest.raises(ValueError, match="needs parameter 'd'"):
             graph_template("circulant:n=10")
         with pytest.raises(ValueError, match="no grid n"):
             graph_template("threshold:IDID")(8)

@@ -211,10 +211,6 @@ class TestRecordEncoder:
             {"label": "c", "exact": None, "exact_float": None, "se": None},
         ]
 
-    def test_names_keep_declaration_order(self):
-        got = record_json(_Point("a", Fraction(1, 3), 0.2), ("se", "exact"))
-        assert list(got) == ["exact", "exact_float", "se"]
-
     def test_csv_splits_rationals_and_blanks_nulls(self):
         rows = [_Point("a", Fraction(-3, 4), None), _Point("c", None, 0.25)]
         assert records_csv(_Point, rows).splitlines() == [

@@ -1,6 +1,7 @@
 """Random graph models, the ratio criterion, and spec-string parsing."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +13,8 @@ from colorstats.randgraph import (
     DegreeLaw,
     GeometricTorus,
     Gnp,
+    _bernoulli_pair_edges,
     _decode_pairs,
-    _eval_param,
     assumption_star_check,
     classify_ratio_trend,
     config_sample,
@@ -26,6 +27,7 @@ from colorstats.randgraph import (
     ratio_over_grid,
     star_like,
 )
+from colorstats.graph import parse_number
 from colorstats.seeds import stream
 
 MIXED_LAW = DegreeLaw((1, 3), (Fraction(1, 2), Fraction(1, 2)))
@@ -79,6 +81,12 @@ class TestGeneration:
         assert generate(Gnp(12, Fraction(0)), rng).m == 0
         assert generate(Gnp(6, Fraction(1)), rng).m == 15
 
+    @pytest.mark.parametrize("p", [1e-300, 1e-19, 1e-18])
+    def test_tiny_p_draws_no_edges(self, p):
+        # below about 1e-18 the geometric gaps saturate at 2**63 - 1
+        assert _bernoulli_pair_edges(8, p, stream(0)).shape == (0, 2)
+        assert generate(Gnp(8, p), stream(1)).m == 0
+
     def test_deterministic(self):
         spec = Gnp(50, Fraction(7, 100))
         a = generate(spec, stream(3))
@@ -107,9 +115,8 @@ class TestGeneration:
 class TestClosedForm:
     def test_gnp_is_exact_fraction(self):
         crit = ratio_closed_form(Gnp(10, Fraction(1, 2)))
-        # mean degree 9/2, second moment 9/4 + 81/4 = 90/4; numerator 225,
-        # denominator (45/2)^2
-        assert crit.numerator == Fraction(225)
+        # mean degree 9/2, second moment 9/4 + 81/4 = 90/4; E[sigma2] = 225
+        # over E[m]^2 = (45/2)^2
         assert crit.ratio == Fraction(225 * 4, 45 * 45)
 
     def test_config_delta3(self):
@@ -216,6 +223,13 @@ class TestTrendClassifier:
         with pytest.raises(ValueError, match="mode"):
             ratio_over_grid(star_like, [10, 20], mode="guess")
 
+    @pytest.mark.parametrize("grid", [[2000, 40], [100, 100]])
+    @pytest.mark.parametrize("check", [ratio_over_grid, assumption_star_check])
+    def test_grid_must_strictly_increase(self, check, grid):
+        # the verdicts read the last entry as the largest n
+        with pytest.raises(ValueError, match=re.escape(f"strictly increasing, got {tuple(grid)}")):
+            check(lambda n: Gnp(n, Fraction(1, 2)), grid)
+
 
 class TestEdgeCountCheck:
     def test_bernoulli_pairs_hold(self):
@@ -265,6 +279,23 @@ class TestSpecStrings:
         spec = parse_model_template(f"cl:w={f}")(3)
         assert spec == ChungLu(3, (2, 2, Fraction(1, 2)))
 
+    def test_n_in_short_form(self):
+        assert parse_model("starlike:8") == parse_model("starlike:n=8")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("gnp:n=10,p=1/2,n=20", "parameter 'n' given twice"),
+            ("gnp:n=10,p=1/2,zz=3", "model 'gnp' has no parameter 'zz'; it takes n, p"),
+            ("gnp:n=10,p=1/2,=3", "empty parameter name in '=3'"),
+            ("starlike:n=8,p=1/2", "model 'starlike' has no parameter 'p'; it takes n"),
+            ("config:n=10,law=3:1,N=5", "model 'config' has no parameter 'N'"),
+        ],
+    )
+    def test_unknown_empty_and_repeated_keys_refused(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_model_template(text)
+
     def test_grid_overrides_embedded_n(self):
         template = parse_model_template("gnp:n=10,p=0.25")
         assert template(None).n == 10
@@ -306,7 +337,7 @@ class TestSpecStrings:
         ],
     )
     def test_expression_values_and_types(self, text, expected):
-        got = _eval_param(text, 100)
+        got = parse_number(text, 100)
         assert got == expected and type(got) is type(expected)
 
     def test_missing_n_rejected_at_build(self):
