@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -33,9 +34,13 @@ def _graph_arg(text: str):
 
 
 def _classes_arg(text: str, n: int) -> Composition:
-    if text.strip().lower().startswith("balanced"):
-        return experiments.parse_coloring_rule(text)(n)
-    sizes = tuple(int(tok) for tok in text.split(","))
+    s = experiments.balanced_classes(text)
+    if s is not None:
+        return Composition.balanced(n, s)
+    tokens = [tok.strip() for tok in text.split(",")]
+    if bad := [tok for tok in tokens if not tok.isdecimal()]:
+        raise ValueError(f"class sizes are whole numbers like 5,3 (or balanced:s), got {bad[0]!r}")
+    sizes = tuple(map(int, tokens))
     if sum(sizes) != n:
         raise ValueError(f"class sizes {sizes} sum to {sum(sizes)}, graph has n={n}")
     return Composition(sizes)
@@ -45,6 +50,16 @@ def _positive_int(text: str) -> int:
     if not text.strip().isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
+
+
+def _threshold(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
 
 
 def _grid_arg(text: str) -> tuple[int, ...]:
@@ -178,9 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="comma-separated n values")
     p.add_argument("--trials", type=int, default=0, help="colorings per point (0: exact only)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--zeta-threshold", type=float, default=experiments.ZETA_THRESHOLD)
+    p.add_argument("--zeta-threshold", type=_threshold, default=experiments.ZETA_THRESHOLD)
     p.add_argument(
-        "--imbalance-threshold", type=float, default=experiments.IMBALANCE_THRESHOLD
+        "--imbalance-threshold", type=_threshold, default=experiments.IMBALANCE_THRESHOLD
     )
     p.add_argument(
         "--threads",

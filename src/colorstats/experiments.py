@@ -27,29 +27,33 @@ import numpy as np
 from .coloring import Composition, count_batch, sample, sample_batch
 from .graph import Graph, graph_template, parse_number, write_text
 from .moments import full_report, pz_lower_bound, record_json, records_csv
-from .randgraph import MODEL_KEYS, ModelSpec, check_grid, fit_power_law, generate, parse_model_template
+from .randgraph import MODEL_KEYS, ModelSpec, check_grid, generate, parse_model_template, trend
 from .seeds import stream
 
-# Regime thresholds: the dispersion ratio is treated as order-one when it
-# exceeds ZETA_THRESHOLD at the largest n without a decreasing power-law
-# trend, and an imbalance is persistent when it exceeds IMBALANCE_THRESHOLD
-# at every grid point.  Both are finite-grid proxies for asymptotic
-# statements; the CLI exposes flags to override them.
+# Regime thresholds: the floors of randgraph.trend for zeta^2 and for the
+# imbalance.  Both are finite-grid proxies for asymptotic statements; the
+# CLI exposes flags to override them.
 ZETA_THRESHOLD = 0.2
 IMBALANCE_THRESHOLD = 1e-3
 PZ_THETA = Fraction(1, 2)  # deviation level of each regime row's pz_bound
 SE_BAND = 4.0  # run_comparison's tolerance, in standard errors
 
 
+def balanced_classes(text: str) -> int | None:
+    """The class count s of a "balanced:s" class list; None for any other list."""
+    kind, _, s = text.partition(":")
+    if kind.strip().lower() != "balanced":
+        return None
+    if not s.strip().isdecimal():
+        raise ValueError(f"balanced rule needs a whole class count, e.g. balanced:2, got {s.strip()!r}")
+    return int(s)
+
+
 def parse_coloring_rule(text: str) -> Callable[[int], Composition]:
     """Coloring rule from "balanced:s" or a comma list of ratios ("3/4,1/4")."""
-    text = text.strip()
-    if text.lower().startswith("balanced"):
-        _, sep, s = text.partition(":")
-        if not sep:
-            raise ValueError("balanced rule needs a class count, e.g. balanced:2")
-        s_int = int(s)
-        return lambda n: Composition.balanced(n, s_int)
+    s = balanced_classes(text)
+    if s is not None:
+        return lambda n: Composition.balanced(n, s)
     ratios = tuple(parse_number(tok) for tok in text.split(","))
     return lambda n: Composition.from_ratios(n, ratios)
 
@@ -141,21 +145,6 @@ def _regime_point(family: FamilySpec, at: Callable, rule: Callable, n: int, tria
     return report, emp
 
 
-def _classify(
-    grid: Sequence[int],
-    zetas: Sequence[Fraction],
-    imbalances: Sequence[Fraction],
-    zeta_threshold: float,
-    imbalance_threshold: float,
-) -> str:
-    vals = [float(z) for z in zetas]
-    flat = float(zetas[-1]) > zeta_threshold
-    if flat and len(grid) >= 2 and all(v > 0 for v in vals):
-        flat = fit_power_law(grid, vals) > -0.1
-    persistent = all(float(b) > imbalance_threshold for b in imbalances)
-    return "anti_concentration" if (flat and persistent) else "concentration"
-
-
 def run_regime(
     family: FamilySpec,
     trials: int = 0,
@@ -182,13 +171,18 @@ def run_regime(
         # in the caller's thread: a one-worker pool gives each call a fresh
         # thread and malloc arena, and the process's peak RSS then varies
         results = [_regime_point(family, at, rule, n, trials, seed) for n in grid]
-    regime = _classify(
-        grid,
-        [rep.zeta_sq for rep, _ in results],
-        [rep.imbalance_sq for rep, _ in results],
-        zeta_threshold,
-        imbalance_threshold,
-    )
+    # anti-concentration needs zeta^2 = Theta(1) and a persisting imbalance;
+    # either one vanishing means concentration
+    labels = {
+        trend(grid, [rep.zeta_sq for rep, _ in results], zeta_threshold)[1],
+        trend(grid, [rep.imbalance_sq for rep, _ in results], imbalance_threshold)[1],
+    }
+    if "vanishing" in labels:
+        regime = "concentration"
+    elif labels == {"flat"}:
+        regime = "anti_concentration"
+    else:
+        regime = "inconclusive"
     rows = []
     for n, (rep, (emp_mean, emp_var)) in zip(grid, results):
         rows.append(

@@ -259,7 +259,7 @@ def parse_number(text: str, n: int | None = None) -> int | Fraction | float:
         raise ValueError(f"{text.strip()!r} has a zero denominator") from None
     except ValueError:
         if n is None:
-            raise
+            raise ValueError(f"{text.strip()!r} is not a number") from None
     else:
         return int(f) if f.denominator == 1 else f
     try:
@@ -276,9 +276,9 @@ def spec_template(spec: str, kinds: dict[str, tuple[str, ...]], build: Callable,
     """Template n -> object from "kind", "kind:N" or "kind:key=value,...".
 
     `kinds` maps each kind to the keys it needs besides n; any other key is
-    refused.  build(kind, params) runs once, with n taken out of params, and
-    returns the maker n -> object.  An n given in the spec is the default
-    and a grid n overrides it.
+    refused.  build(kind, params) runs once and returns the maker n ->
+    object; a build whose data fixes n sets params["n"] if the spec left it
+    out.  An n given in the spec is the default and a grid n overrides it.
     """
     kind, _, rest = spec.partition(":")
     kind = kind.strip().lower()
@@ -290,8 +290,8 @@ def spec_template(spec: str, kinds: dict[str, tuple[str, ...]], build: Callable,
         raise ValueError(f"{what} {kind!r} has no parameter {unknown[0]!r}; it takes {', '.join(keys)}")
     if missing := [key for key in kinds[kind] if key not in params]:
         raise ValueError(f"{what} {kind!r} needs parameter {missing[0]!r}")
-    default_n = int(params.pop("n")) if "n" in params else None
     make = build(kind, params)
+    default_n = int(params["n"]) if "n" in params else None
 
     def at(n: int | None):
         n = default_n if n is None else n

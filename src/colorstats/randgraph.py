@@ -6,7 +6,8 @@ concentrates: a ratio vanishing along an n-grid means concentration, a
 ratio bounded away from zero means it does not.  This module provides the
 four models (Bernoulli pairs, erased configuration, torus geometric,
 weight-product), exact closed-form ratios where the model admits them,
-Monte Carlo estimates with standard errors, and the grid-trend classifier.
+Monte Carlo estimates with standard errors, and trend, the one rule that
+turns a series over an n-grid into a verdict.
 
 Closed forms are computed with exact rationals whenever the model
 parameters are rational; float parameters flow through as floats.
@@ -24,14 +25,12 @@ import numpy as np
 from .graph import Graph, parse_number, spec_template
 from .seeds import stream
 
-# Grid verdict thresholds.  "concentrates": fitted power-law exponent of the
-# ratio over the n-grid at most CONC_EXPONENT and final ratio below
-# FINAL_THRESHOLD.  "anti_concentrates": every ratio above FINAL_THRESHOLD
-# with fitted exponent within FLAT_EXPONENT of zero.  Anything else is
-# "inconclusive".
-FINAL_THRESHOLD = 0.05
-CONC_EXPONENT = -0.5
-FLAT_EXPONENT = 0.1
+# The slopes of trend's power-law fit: at most VANISHING_SLOPE vanishes,
+# within FLAT_SLOPE of zero is flat.  RATIO_FLOOR is the floor that the ratio
+# criterion and the relative edge-count variance give trend.
+VANISHING_SLOPE = -0.5
+FLAT_SLOPE = 0.1
+RATIO_FLOOR = 0.05
 
 
 @dataclass(frozen=True)
@@ -429,21 +428,25 @@ def fit_power_law(ns: Sequence[int], values: Sequence[float]) -> float:
     return float(np.polyfit(np.log(np.asarray(ns, dtype=float)), np.log(values), 1)[0])
 
 
-def classify_ratio_trend(ns: Sequence[int], ratios: Sequence[Fraction | float | None]) -> str:
-    """Grid verdict from the ratio trend; thresholds documented at module top."""
-    if any(r is None for r in ratios) or len(ns) < 2:
-        return "inconclusive"
-    vals = [float(r) for r in ratios]
+def trend(ns: Sequence[int], values: Sequence, floor: float) -> tuple[float | None, str]:
+    """(fitted slope or None, label) of a series over an n-grid; every grid
+    verdict reads this rule.  "vanishing": all values 0, or slope <=
+    VANISHING_SLOPE and the last value below `floor`.  "flat": every value
+    above `floor` and |slope| < FLAT_SLOPE.  Else, a one-point grid, a None
+    value and zero mixed with other values included, "inconclusive"."""
+    if any(v is None for v in values) or len(ns) < 2:
+        return None, "inconclusive"
+    vals = [float(v) for v in values]
     if all(v == 0.0 for v in vals):
-        return "concentrates"
+        return None, "vanishing"
     if any(v <= 0.0 for v in vals):
-        return "inconclusive"
+        return None, "inconclusive"
     slope = fit_power_law(ns, vals)
-    if slope <= CONC_EXPONENT and vals[-1] < FINAL_THRESHOLD:
-        return "concentrates"
-    if min(vals) > FINAL_THRESHOLD and abs(slope) < FLAT_EXPONENT:
-        return "anti_concentrates"
-    return "inconclusive"
+    if slope <= VANISHING_SLOPE and vals[-1] < floor:
+        return slope, "vanishing"
+    if min(vals) > floor and abs(slope) < FLAT_SLOPE:
+        return slope, "flat"
+    return slope, "inconclusive"
 
 
 @dataclass(frozen=True)
@@ -472,7 +475,9 @@ def ratio_over_grid(
             points.append(ratio_closed_form(spec))
         else:
             points.append(ratio_monte_carlo(spec, trials, seed, key=(i,)))
-    return GridResult(tuple(points), classify_ratio_trend(list(ns), [p.ratio for p in points]))
+    _, label = trend(ns, [p.ratio for p in points], RATIO_FLOOR)
+    verdict = {"vanishing": "concentrates", "flat": "anti_concentrates"}.get(label, "inconclusive")
+    return GridResult(tuple(points), verdict)
 
 
 # ── assumption check: Var(m) / E[m]^2 ─────────────────────────────────────
@@ -482,8 +487,8 @@ def ratio_over_grid(
 class StarCheck:
     """Relative edge-count variance along an n-grid and its trend.
 
-    `holds` means the variance ratio trends to zero: either identically
-    zero (deterministic edge count) or fitted exponent <= -1/2.
+    `exponent` is the trend's slope and `holds` means the trend is
+    "vanishing" (see trend, with floor RATIO_FLOOR).
     """
 
     values: tuple[float, ...]
@@ -526,14 +531,8 @@ def assumption_star_check(
         if mean == 0.0:
             raise ValueError(f"model at n={n} generated no edges in {trials} trials")
         values.append(float(ms.var(ddof=1)) / float(mean) ** 2)
-    if all(v == 0.0 for v in values):
-        exponent, holds = None, True
-    elif any(v <= 0.0 for v in values):
-        exponent, holds = None, False
-    else:
-        exponent = fit_power_law(ns, values)
-        holds = exponent <= -0.5
-    return StarCheck(values=tuple(values), exponent=exponent, holds=holds)
+    exponent, label = trend(ns, values, RATIO_FLOOR)
+    return StarCheck(values=tuple(values), exponent=exponent, holds=label == "vanishing")
 
 
 # ── model spec strings ────────────────────────────────────────────────────
@@ -573,8 +572,16 @@ def _model_maker(kind: str, params: dict[str, str]) -> Callable[[int], ModelSpec
         law = _parse_law(params["law"])
         return lambda n: ConfigModel(n, law)
     if kind == "cl":
-        weights = _load_weights(params["w"])
-        return lambda n: ChungLu(n, weights)
+        path = params["w"]
+        weights = _load_weights(path)
+        params.setdefault("n", str(len(weights)))  # the file fixes n
+
+        def chung_lu(n: int) -> ChungLu:
+            if n != len(weights):
+                raise ValueError(f"weight file {path!r} has {len(weights)} weights, but n={n}")
+            return ChungLu(n, weights)
+
+        return chung_lu
     return star_like
 
 
@@ -582,9 +589,10 @@ def parse_model_template(text: str) -> Callable[[int | None], ModelSpec]:
     """Model template from a spec string; n is supplied at call time.
 
     Forms: "gnp:n=500,p=0.1", "config:n=500,law=3:1.0", "geo:n=500,r=0.1",
-    "cl:n=500,w=weights.txt", "starlike:n=500" (see graph.spec_template;
+    "cl:w=weights.txt", "starlike:n=500" (see graph.spec_template;
     MODEL_KEYS lists each kind's keys).  An n given in the string is the
-    default; grid evaluation overrides it.  p and r may be expressions in
+    default; grid evaluation overrides it.  A weight file's count is cl's
+    n, and no other n is accepted.  p and r may be expressions in
     n, e.g. "p=4/n" (see graph.parse_number).
     """
     return spec_template(text, MODEL_KEYS, _model_maker, "model")

@@ -1,9 +1,11 @@
 """End-to-end runs of every subcommand through main()."""
 
+import importlib
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,19 @@ def run(capsys, *argv):
 
 def test_every_public_name_resolves():
     assert [name for name in colorstats.__all__ if not hasattr(colorstats, name)] == []
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    # the benchmark's tracer wraps these functions by name; a refactor that
+    # drops one must fail here, not only in a benchmark run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    unresolved = []
+    for mod, attr, *_ in tracer.TARGETS:
+        fn = getattr(importlib.import_module(f"colorstats.{mod}"), attr, None)
+        if not (isinstance(fn, types.FunctionType) and fn.__module__.startswith("colorstats.")):
+            unresolved.append(f"{mod}.{attr}")
+    assert unresolved == [] and len(tracer.TARGETS) >= 38
 
 
 class TestMoments:
@@ -185,6 +200,59 @@ class TestBadInput:
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["moments", "--graph", "cycle:10", "--classes", "balancedfoo:2"],
+             "class sizes are whole numbers like 5,3 (or balanced:s), got 'balancedfoo:2'"),
+            (["moments", "--graph", "cycle:10", "--classes", "balanced:x"],
+             "balanced rule needs a whole class count, e.g. balanced:2, got 'x'"),
+            (["moments", "--graph", "cycle:10", "--classes", "balanced:2.5"],
+             "balanced rule needs a whole class count, e.g. balanced:2, got '2.5'"),
+            (["moments", "--graph", "cycle:10", "--classes", "balanced:"],
+             "balanced rule needs a whole class count, e.g. balanced:2, got ''"),
+            (["moments", "--graph", "cycle:10", "--classes", "3/4,1/4"],
+             "class sizes are whole numbers like 5,3 (or balanced:s), got '3/4'"),
+            (["simulate", "--graph", "cycle:10", "--classes", "5,-5"],
+             "class sizes are whole numbers like 5,3 (or balanced:s), got '-5'"),
+            (["regime", "--family", "star", "--classes", "balancedfoo:2", "--grid", "8",
+              "--out", "unused.json"], "'balancedfoo:2' is not a number"),
+        ],
+        ids=["kind", "count_word", "count_fraction", "count_empty", "sizes_ratio", "sizes_negative",
+             "regime_kind"],
+    )
+    def test_bad_class_list_exits_2(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "unused.json").exists()
+
+    @pytest.mark.parametrize(
+        "flag", ["--zeta-threshold=nan", "--zeta-threshold=inf", "--zeta-threshold=-0.5",
+                 "--imbalance-threshold=-1", "--imbalance-threshold=NaN", "--imbalance-threshold=x"]
+    )
+    def test_bad_threshold_exits_2(self, capsys, tmp_path, flag):
+        target = tmp_path / "rows.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["regime", "--family", "star", "--classes", "3/4,1/4", "--grid", "40,100",
+                  flag, "--out", str(target)])
+        assert exc.value.code == 2
+        value = flag.partition("=")[2]
+        assert f"expected a finite number >= 0, got {value!r}" in capsys.readouterr().err
+        assert not target.exists()
+
+    def test_weight_file_n_mismatch_exits_2(self, capsys, tmp_path):
+        weights = tmp_path / "w8.txt"
+        weights.write_text("1 2 3 4 1 1 1 2\n")
+        for argv in (["rdcheck", "--model", f"cl:w={weights}", "--grid", "8,10"],
+                     ["rdcheck", "--model", f"cl:n=10,w={weights}"],
+                     ["regime", "--family", f"cl:w={weights}", "--classes", "1,1", "--grid", "8,10",
+                      "--out", str(tmp_path / "rows.json")]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err == f"error: weight file {str(weights)!r} has 8 weights, but n=10\n"
+
     @pytest.mark.parametrize("model", ["geo:n=10,r=1e400", "gnp:n=10,p=1e-400"])
     def test_overflow_exits_2(self, capsys, model):
         code, out, err = run(capsys, "rdcheck", "--model", model)
@@ -324,7 +392,7 @@ class TestRegime:
             "--out", str(target),
         )
         assert code == 0
-        assert "regime: concentration" in out
+        assert "regime: inconclusive" in out
 
 
 class TestRdcheck:
@@ -376,6 +444,29 @@ class TestRdcheck:
         assert code == 0
         assert "n=60" in out
         assert "verdict: inconclusive" in out
+
+    def test_star_check_on_one_point_grid(self, capsys, tmp_path):
+        target = tmp_path / "payload.json"
+        code, out, _ = run(
+            capsys, "rdcheck", "--model", "gnp:n=100,p=1/2", "--star-check", "--out", str(target)
+        )
+        assert code == 0
+        assert "size-variance check: exponent=n/a holds=False" in out
+        check = json.loads(target.read_text())["star_check"]
+        assert len(check["values"]) == 1
+        assert check["exponent"] is None and check["holds"] is False
+
+    def test_weight_file_fixes_n(self, capsys, tmp_path):
+        weights = tmp_path / "w8.txt"
+        weights.write_text("1 2 3 4 1 1 1 2\n")
+        code, out, _ = run(capsys, "rdcheck", "--model", f"cl:w={weights}")
+        assert code == 0
+        assert "n=8 " in out and "verdict: inconclusive" in out
+        code, _, _ = run(
+            capsys, "regime", "--family", f"cl:w={weights}", "--classes", "1,1", "--grid", "8",
+            "--out", str(tmp_path / "rows.json"),
+        )
+        assert code == 0
 
     def test_model_without_n_rejected(self, capsys):
         code, _, err = run(capsys, "rdcheck", "--model", "gnp:p=0.1")

@@ -38,6 +38,19 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_coloring_rule("3/4,oops")
 
+    @pytest.mark.parametrize(
+        "text, token",
+        [("balanced:x", "'x'"), ("balanced:2.5", "'2.5'"), ("balanced:", "''"), ("balanced", "''")],
+    )
+    def test_balanced_class_count_must_be_whole(self, text, token):
+        with pytest.raises(ValueError, match=re.escape(f"whole class count, e.g. balanced:2, got {token}")):
+            parse_coloring_rule(text)
+
+    def test_balanced_kind_matched_exactly(self):
+        assert parse_coloring_rule(" Balanced : 2 ")(5) == Composition((3, 2))
+        with pytest.raises(ValueError, match="balancedfoo:2"):
+            parse_coloring_rule("balancedfoo:2")
+
     def test_family_validation(self):
         with pytest.raises(ValueError, match="nonempty"):
             FamilySpec(graph="star", coloring="balanced:2", grid=())
@@ -126,12 +139,39 @@ class TestRegime:
         assert rows[0].predicted_regime == "concentration"
 
     def test_thresholds_can_be_overridden(self):
-        # pushing the imbalance bar above the family's imbalance flips the verdict
+        # an imbalance bar above the family's imbalance (0.125) leaves it neither
+        # persisting above the bar nor vanishing
         strict = run_regime(STAR_SKEWED, imbalance_threshold=1.0)
-        assert strict[0].predicted_regime == "concentration"
+        assert strict[0].predicted_regime == "inconclusive"
         lax = run_regime(CYCLE_BALANCED, zeta_threshold=1e-9)
         # still concentration: the dispersion trend is decreasing
         assert lax[0].predicted_regime == "concentration"
+
+    @pytest.mark.parametrize(
+        "graph, coloring, grid, options, regime",
+        [
+            # the goldens, criteria 04 and 05, and the benchmark's regime inputs
+            ("star", "3/4,1/4", (40, 100, 250), {}, "anti_concentration"),
+            ("circulant:d=4", "balanced:2", (10, 20), {}, "concentration"),
+            ("star", "3/4,1/4", (40, 100, 250, 630, 1600, 4000), {}, "anti_concentration"),
+            ("cycle", "3/4,1/4", (50, 100, 200, 400, 800, 1600, 3200), {}, "concentration"),
+            ("gnp:p=4/n", "balanced:2", (250, 500, 1000, 2000), {"seed": 1}, "concentration"),
+            ("gnp:p=4/n", "balanced:2", (250, 500, 1000, 2000), {"seed": 7}, "concentration"),
+            # the other cases of this class
+            ("cycle", "balanced:2", (50, 100, 200), {}, "concentration"),
+            ("star", "balanced:2", (40, 80), {}, "concentration"),
+            ("cycle", "balanced:2", (50, 100, 200), {"zeta_threshold": 1e-9}, "concentration"),
+            ("star", "3/4,1/4", (40, 100, 250), {"imbalance_threshold": 1.0}, "inconclusive"),
+            ("gnp:p=8/n", "balanced:2", (40, 80), {"trials": 30, "seed": 4}, "concentration"),
+            ("gnp:p=8/n", "balanced:2", (40, 60, 80), {"trials": 25, "seed": 6}, "concentration"),
+            # one point shows no trend
+            ("star", "3/4,1/4", (40,), {}, "inconclusive"),
+            ("circulant:d=4", "balanced:2", (10,), {}, "inconclusive"),
+        ],
+    )
+    def test_regime_table(self, graph, coloring, grid, options, regime):
+        rows = run_regime(FamilySpec(graph, coloring, grid), **options)
+        assert [r.predicted_regime for r in rows] == [regime] * len(grid)
 
     def test_empirical_columns(self):
         rows = run_regime(STAR_SKEWED, trials=200, seed=11)

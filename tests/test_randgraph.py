@@ -3,20 +3,25 @@
 import math
 import re
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from colorstats import randgraph
 from colorstats.randgraph import (
     ChungLu,
     ConfigModel,
     DegreeLaw,
     GeometricTorus,
     Gnp,
+    RATIO_FLOOR,
+    RatioCriterion,
     _bernoulli_pair_edges,
     _decode_pairs,
     assumption_star_check,
-    classify_ratio_trend,
     config_sample,
     fit_power_law,
     generate,
@@ -26,12 +31,81 @@ from colorstats.randgraph import (
     ratio_monte_carlo,
     ratio_over_grid,
     star_like,
+    trend,
 )
 from colorstats.graph import parse_number
 from colorstats.seeds import stream
 
 MIXED_LAW = DegreeLaw((1, 3), (Fraction(1, 2), Fraction(1, 2)))
 DELTA3 = DegreeLaw((3,), (Fraction(1),))
+
+# ── references: the verdict rules that trend replaced ─────────────────────
+
+
+def classify_ratio_trend(ns, ratios):
+    """The ratio criterion's grid verdict, by the rule it had of its own."""
+    if any(r is None for r in ratios) or len(ns) < 2:
+        return "inconclusive"
+    vals = [float(r) for r in ratios]
+    if all(v == 0.0 for v in vals):
+        return "concentrates"
+    if any(v <= 0.0 for v in vals):
+        return "inconclusive"
+    slope = fit_power_law(ns, vals)
+    if slope <= -0.5 and vals[-1] < 0.05:
+        return "concentrates"
+    if min(vals) > 0.05 and abs(slope) < 0.1:
+        return "anti_concentrates"
+    return "inconclusive"
+
+
+def reference_star_rule(ns, values):
+    """(exponent, holds) of the edge-count check, by the rule it had of its own."""
+    if all(v == 0.0 for v in values):
+        return None, True
+    if any(v <= 0.0 for v in values):
+        return None, False
+    exponent = fit_power_law(ns, values)
+    return exponent, exponent <= -0.5
+
+
+def rdcheck_verdict(ns, ratios):
+    """ratio_over_grid's verdict when the ratio at ns[i] is ratios[i]."""
+    at = dict(zip(ns, ratios))
+    with mock.patch.object(randgraph, "ratio_closed_form", lambda n: RatioCriterion(n, at[n])):
+        return ratio_over_grid(lambda n: n, ns).verdict
+
+
+def grids(min_size):
+    return st.sets(st.integers(4, 10**6), min_size=min_size, max_size=6).map(sorted)
+
+
+@st.composite
+def ratio_series(draw):
+    """A grid and a series on it: a power law (decaying, flat or growing),
+    all zeros, or loose values with None, zero and negative entries."""
+    ns = draw(grids(1))
+    shape = draw(st.sampled_from(("power", "zeros", "loose")))
+    if shape == "power":
+        last, slope = draw(st.floats(1e-4, 10.0)), draw(st.floats(-2.0, 0.5))
+        return ns, [last * (n / ns[-1]) ** slope for n in ns]
+    if shape == "zeros":
+        return ns, [0.0] * len(ns)
+    loose = st.one_of(st.none(), st.just(0.0), st.floats(-1.0, 1.0), st.fractions(0, 10))
+    return ns, draw(st.lists(loose, min_size=len(ns), max_size=len(ns)))
+
+
+@st.composite
+def variance_series(draw):
+    """Relative variances (>= 0) on a grid of two or more points whose last
+    value is below RATIO_FLOOR."""
+    ns = draw(grids(2))
+    last = draw(st.floats(0.0, RATIO_FLOOR, exclude_max=True))
+    if draw(st.booleans()):
+        slope = draw(st.floats(-2.0, 0.5))
+        return ns, [last * (n / ns[-1]) ** slope for n in ns]
+    head = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 10.0)), min_size=len(ns) - 1, max_size=len(ns) - 1)
+    return ns, draw(head) + [last]
 
 
 class TestModelValidation:
@@ -193,6 +267,7 @@ class TestTrendClassifier:
             fit_power_law([10, 20], [1.0, 0.0])
 
     def test_verdicts(self):
+        # the reference rule's table; ratio_over_grid is held to that rule below
         assert classify_ratio_trend([100, 1000], [0.04, 0.004]) == "concentrates"
         assert classify_ratio_trend([100, 1000], [0.3, 0.301]) == "anti_concentrates"
         assert classify_ratio_trend([100, 1000], [0.0, 0.0]) == "concentrates"
@@ -200,6 +275,27 @@ class TestTrendClassifier:
         assert classify_ratio_trend([100, 1000], [10.0, 1.0]) == "inconclusive"
         assert classify_ratio_trend([100], [0.3]) == "inconclusive"
         assert classify_ratio_trend([100, 1000], [0.3, None]) == "inconclusive"
+
+    def test_trend_labels(self):
+        assert trend([100, 1000], [0.04, 0.004], 0.05) == (pytest.approx(-1.0), "vanishing")
+        assert trend([100, 1000], [0.3, 0.3], 0.05) == (pytest.approx(0.0, abs=1e-12), "flat")
+        assert trend([100, 1000], [0.0, 0.0], 0.05) == (None, "vanishing")
+        assert trend([100, 1000], [0.0, 0.1], 0.05) == (None, "inconclusive")
+        assert trend([100, 1000], [-0.1, -0.1], 0.05) == (None, "inconclusive")
+        assert trend([100, 1000], [0.3, None], 0.05) == (None, "inconclusive")
+        assert trend([100], [0.3], 0.05) == (None, "inconclusive")
+        assert trend([100], [0.0], 0.05) == (None, "inconclusive")
+        # decaying but not yet below the floor, below the floor but decaying
+        # too slowly, flat but not above the floor, above the floor but growing
+        assert trend([100, 1000], [10.0, 1.0], 0.05)[1] == "inconclusive"
+        assert trend([100, 10000], [0.04, 0.04 * 100**-0.4], 0.05)[1] == "inconclusive"
+        assert trend([100, 1000], [0.3, 0.3], 0.5)[1] == "inconclusive"
+        assert trend([100, 1000], [0.3, 3.0], 0.05)[1] == "inconclusive"
+
+    @given(ratio_series())
+    def test_rdcheck_verdict_matches_reference(self, case):
+        ns, ratios = case
+        assert rdcheck_verdict(ns, ratios) == classify_ratio_trend(ns, ratios)
 
     def test_grid_closed_form(self):
         # dense Bernoulli pairs: the ratio is exactly 4 / (n - 1)
@@ -247,6 +343,39 @@ class TestEdgeCountCheck:
         assert chk.exponent is None
         assert chk.holds
 
+    @given(variance_series())
+    def test_rule_matches_reference_below_the_floor(self, case):
+        ns, values = case
+        slope, label = trend(ns, values, RATIO_FLOOR)
+        assert (slope, label == "vanishing") == reference_star_rule(ns, values)
+
+    @pytest.mark.parametrize(
+        "template, grid",
+        [
+            (lambda n: Gnp(n, Fraction(1, 2)), [40, 80, 160]),
+            (lambda n: Gnp(n, 4.0 / n), [250, 500, 1000, 2000]),
+            (lambda n: ConfigModel(n, DELTA3), [50, 100]),
+            (lambda n: ConfigModel(n, MIXED_LAW), [100, 200, 400]),
+        ],
+    )
+    def test_check_matches_reference(self, template, grid):
+        chk = assumption_star_check(template, grid, trials=200, seed=8)
+        assert chk.values[-1] < RATIO_FLOOR
+        assert (chk.exponent, chk.holds) == reference_star_rule(grid, list(chk.values))
+
+    def test_decay_above_the_floor_does_not_hold(self):
+        # Var(m)/E[m]^2 of gnp with p = 1/n is about 2/n: it decays, but at
+        # n = 32 it is still above the floor
+        chk = assumption_star_check(lambda n: Gnp(n, Fraction(1, n)), [8, 16, 32], trials=2000, seed=1)
+        assert chk.values[-1] > RATIO_FLOOR
+        assert chk.exponent <= -0.5 and not chk.holds
+        assert reference_star_rule([8, 16, 32], list(chk.values))[1]
+
+    def test_one_point_grid(self):
+        chk = assumption_star_check(lambda n: Gnp(n, Fraction(1, 2)), [100], trials=50, seed=0)
+        assert len(chk.values) == 1
+        assert chk.exponent is None and not chk.holds
+
     def test_edgeless_model_refused(self):
         with pytest.raises(ValueError, match="no edges"):
             assumption_star_check(lambda n: Gnp(n, Fraction(0)), [10, 20], trials=10, seed=0)
@@ -278,6 +407,15 @@ class TestSpecStrings:
         f.write_text("2 2 1/2\n")
         spec = parse_model_template(f"cl:w={f}")(3)
         assert spec == ChungLu(3, (2, 2, Fraction(1, 2)))
+
+    def test_weight_file_fixes_n(self, tmp_path):
+        f = tmp_path / "w.txt"
+        f.write_text("2 2 1/2\n")
+        assert parse_model(f"cl:w={f}") == ChungLu(3, (2, 2, Fraction(1, 2)))
+        assert parse_model(f"cl:n=3,w={f}") == ChungLu(3, (2, 2, Fraction(1, 2)))
+        for spec, n in ((f"cl:n=4,w={f}", None), (f"cl:w={f}", 4), (f"cl:n=3,w={f}", 2)):
+            with pytest.raises(ValueError, match=re.escape(f"weight file {str(f)!r} has 3 weights, but n={n or 4}")):
+                parse_model_template(spec)(n)
 
     def test_n_in_short_form(self):
         assert parse_model("starlike:8") == parse_model("starlike:n=8")
