@@ -22,7 +22,7 @@ import sys
 
 from . import experiments, oracle, randgraph
 from .coloring import Composition
-from .graph import graph_from_spec, load_edge_list, write_text
+from .graph import graph_from_spec, load_edge_list, parse_int, write_text
 from .moments import full_report, record_json
 from .oracle import BudgetExceededError
 
@@ -63,7 +63,7 @@ def _threshold(text: str) -> float:
 
 
 def _grid_arg(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(","))
+    return tuple(parse_int(tok) for tok in text.split(","))
 
 
 def _cmd_moments(args) -> int:

@@ -1,5 +1,6 @@
 """Simple undirected graphs: construction, degree statistics, file IO, and
-the spec grammar (spec_template, parse_number) that every spec is read by.
+the spec grammar (spec_template, parse_number, parse_int) that every spec is
+read by.
 
 Graphs are immutable: a vertex count plus two read-only int64 arrays u and
 v, edge i joining u[i] < v[i], sorted by (u, v).  The statistic collected
@@ -272,6 +273,14 @@ def parse_number(text: str, n: int | None = None) -> int | Fraction | float:
     return val
 
 
+def parse_int(text: str) -> int:
+    """A whole number, read as int() reads it; a ValueError names the token."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{_echo(text.strip())} is not a whole number") from None
+
+
 def spec_template(spec: str, kinds: dict[str, tuple[str, ...]], build: Callable, what: str) -> Callable:
     """Template n -> object from "kind", "kind:N" or "kind:key=value,...".
 
@@ -291,7 +300,7 @@ def spec_template(spec: str, kinds: dict[str, tuple[str, ...]], build: Callable,
     if missing := [key for key in kinds[kind] if key not in params]:
         raise ValueError(f"{what} {kind!r} needs parameter {missing[0]!r}")
     make = build(kind, params)
-    default_n = int(params["n"]) if "n" in params else None
+    default_n = parse_int(params["n"]) if "n" in params else None
 
     def at(n: int | None):
         n = default_n if n is None else n
@@ -322,7 +331,7 @@ def graph_template(spec: str) -> Callable[[int | None], Graph]:
         return fixed
 
     def build(kind: str, params: dict[str, str]) -> Callable[[int], Graph]:
-        args = [int(params[key]) for key in FAMILY_KEYS[kind]]
+        args = [parse_int(params[key]) for key in FAMILY_KEYS[kind]]
         return lambda n: _FAMILIES[kind](n, *args)
 
     return spec_template(spec, FAMILY_KEYS, build, "graph")

@@ -1,7 +1,8 @@
 """Brute-force ground truth by exhaustive enumeration of colorings.
 
 `arrangements` builds every coloring of a composition once, as the rows of
-an integer table in lexicographic order.  Each check reads that table: the
+an integer table in lexicographic order, filled in place from the tables of
+its sub-compositions.  Each check reads that table: the
 joint distribution of the per-color monochromatic counts (M_1, ..., M_s)
 and the frequency of block-coloring events.  Everything downstream of the
 closed-form moment formulas is validated against this module on small
@@ -44,43 +45,42 @@ def total_colorings(c: Composition) -> int:
     return out
 
 
-def multiset_permutations(word: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All distinct permutations of `word` in lexicographic order.
-
-    Standard in-place successor algorithm; with repeated values each
-    distinct arrangement appears exactly once.
-    """
-    arr = sorted(word)
-    size = len(arr)
-    while True:
-        yield tuple(arr)
-        i = size - 2
-        while i >= 0 and arr[i] >= arr[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = size - 1
-        while arr[j] <= arr[i]:
-            j -= 1
-        arr[i], arr[j] = arr[j], arr[i]
-        arr[i + 1 :] = arr[size - 1 : i : -1]
+def _check_budget(c: Composition, budget: int) -> int:
+    """total_colorings(c); BudgetExceededError if it is over the budget."""
+    total = total_colorings(c)
+    if total > budget:
+        raise BudgetExceededError(f"enumeration would visit {total} colorings, budget is {budget}")
+    return total
 
 
 def arrangements(c: Composition, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Every distinct coloring of c as one row of an (N, n) array of colors
-    1..s, rows in lexicographic order; N = total_colorings(c) <= budget."""
-    total = total_colorings(c)
-    if total > budget:
-        raise BudgetExceededError(
-            f"enumeration would visit {total} colorings, budget is {budget}"
-        )
-    word = [color for color, ci in enumerate(c.classes, start=1) for _ in range(ci)]
-    rows = multiset_permutations(word)
-    flat = np.fromiter(
-        itertools.chain.from_iterable(rows), dtype=np.min_scalar_type(c.s), count=total * c.n
-    )
-    assert next(rows, None) is None, "enumeration count does not match multinomial"
-    return flat.reshape(total, c.n)
+    1..s, rows in lexicographic order; N = total_colorings(c) <= budget.
+
+    The rows that start with color k are k followed by the table of c - e_k,
+    N * c_k / n rows.  The table of each remaining-count vector is written
+    once and copied to every other place it appears, which is in the same
+    columns.
+    """
+    total = _check_budget(c, budget)
+    table = np.empty((total, c.n), dtype=np.min_scalar_type(c.s))
+    written: dict[tuple[int, ...], int] = {}  # remaining counts -> first row of their written table
+    # (remaining counts, first row, rows) depth first, so a block is complete
+    # before any block outside it is taken; a stack, as recursion goes n deep
+    stack = [(c.classes, 0, total)]
+    while stack:
+        left, start, rows = stack.pop()
+        col = c.n - sum(left)
+        if (src := written.setdefault(left, start)) != start:
+            table[start : start + rows, col:] = table[src : src + rows, col:]
+            continue
+        for k, ck in enumerate(left):
+            if ck:
+                size = rows * ck // (c.n - col)
+                table[start : start + size, col] = k + 1
+                stack.append((left[:k] + (ck - 1,) + left[k + 1 :], start, size))
+                start += size
+    return table
 
 
 @dataclass(frozen=True)
@@ -89,9 +89,6 @@ class ExactDistribution:
 
     support: dict[tuple[int, ...], int]
     total: int
-
-    def prob(self, outcome: tuple[int, ...]) -> Fraction:
-        return Fraction(self.support.get(outcome, 0), self.total)
 
 
 def enumerate_colorings(g: Graph, c: Composition, table: np.ndarray) -> ExactDistribution:
@@ -313,6 +310,10 @@ def run_verification(
     label "(any graph)".  Each composition's arrangement table is built
     once and read by every graph of its order.
     """
+    # an order's largest table is its balanced 3-class one, and it grows with
+    # n: refuse the first order past the budget before anything is built
+    for n in range(4, max_n + 1):
+        _check_budget(Composition.balanced(n, 3), budget)
     graphs = corpus_graphs(max_n=max_n)
     graph_stats = [stats(g) for _, g in graphs]
     comps_by_n: dict[int, list[tuple[int, ...]]] = {}

@@ -22,7 +22,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .graph import Graph, parse_number, spec_template
+from .graph import Graph, parse_int, parse_number, spec_template
 from .seeds import stream
 
 # The slopes of trend's power-law fit: at most VANISHING_SLOPE vanishes,
@@ -548,7 +548,7 @@ def _parse_law(text: str) -> DegreeLaw:
         v, sep, p = pair.partition(":")
         if not sep:
             raise ValueError(f"degree law entries are value:prob, got {pair!r}")
-        values.append(int(v))
+        values.append(parse_int(v))
         probs.append(parse_number(p))
     return DegreeLaw(tuple(values), tuple(probs))
 

@@ -39,7 +39,7 @@ def test_criterion_01_closed_forms_match_enumeration():
     """Every moment and event formula equals brute-force enumeration,
     exactly, over the whole corpus x all 2- and 3-class compositions."""
     t0 = time.perf_counter()
-    rows = run_verification(max_n=10)
+    rows = run_verification(max_n=11)
     elapsed = time.perf_counter() - t0
     bad = [r for r in rows if not r[3]]
     assert bad == [], f"{len(bad)} formula instances disagree with enumeration: {bad[:5]}"

@@ -5,12 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
 import pytest
 
 import colorstats
+from colorstats import oracle
 from colorstats.cli import main
 from colorstats.coloring import Composition
 from colorstats.experiments import FamilySpec, run_regime
@@ -285,6 +287,25 @@ class TestBadInput:
         assert code == 2 and "at least 2" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv, token",
+        [
+            (["rdcheck", "--model", "gnp:n=10,p=1/2", "--grid", "8,x"], "x"),
+            (["regime", "--family", "star", "--classes", "3/4,1/4", "--grid", "8,x",
+              "--out", "unused.json"], "x"),
+            (["rdcheck", "--model", "gnp:n=1x,p=1/2"], "1x"),
+            (["moments", "--graph", "circulant:n=10,d=x", "--classes", "5,5"], "x"),
+            (["rdcheck", "--model", "config:n=10,law=x:1"], "x"),
+        ],
+        ids=["rdcheck_grid", "regime_grid", "spec_n", "family_key", "law_value"],
+    )
+    def test_whole_number_refused_exits_2(self, capsys, tmp_path, monkeypatch, argv, token):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {token!r} is not a whole number\n"
+        assert not (tmp_path / "unused.json").exists()
+
     def test_bad_thread_env_ignored_without_threads_option(self, capsys, monkeypatch):
         monkeypatch.setenv("COLORSTATS_THREADS", "abc")
         code, _, _ = run(capsys, "moments", "--graph", "star:8", "--classes", "5,3")
@@ -298,6 +319,19 @@ class TestOracleVerify:
         assert "all pass" in out
         assert out.count("FAIL") == 0
         assert "PASS" in out
+
+    @pytest.mark.parametrize("max_n", ["18", "100000"])
+    def test_over_budget_order_exits_2_before_any_work(self, capsys, monkeypatch, max_n):
+        def refuse(max_n):
+            raise AssertionError("the corpus was built past the budget")
+
+        monkeypatch.setattr(oracle, "corpus_graphs", refuse)
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "oracle-verify", "--max-n", max_n)
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 2 and out == ""
+        # the first order past the budget is n = 18, whose largest table is c = (6, 6, 6)
+        assert err == "error: enumeration would visit 17153136 colorings, budget is 10000000\n"
 
 
 class TestSimulate:

@@ -2,7 +2,7 @@
 
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +20,7 @@ from colorstats.coloring import (
     sample_batch,
 )
 from colorstats.graph import Graph, path
-from colorstats.oracle import compositions_of, multiset_permutations, total_colorings
+from colorstats.oracle import compositions_of, total_colorings
 from colorstats.seeds import stream
 from colorstats.symfun import falling_factorial
 
@@ -55,6 +55,28 @@ def count(g: Graph, colors: Sequence[int], s: int | None = None) -> EdgeCounts:
             per[cu - 1] += 1
     mono = sum(per)
     return EdgeCounts(per_color=tuple(per), mono=mono, bi=g.m - mono)
+
+
+def multiset_permutations(word: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """All distinct permutations of `word` in lexicographic order.
+
+    Standard in-place successor algorithm; with repeated values each
+    distinct arrangement appears exactly once.
+    """
+    arr = sorted(word)
+    size = len(arr)
+    while True:
+        yield tuple(arr)
+        i = size - 2
+        while i >= 0 and arr[i] >= arr[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = size - 1
+        while arr[j] <= arr[i]:
+            j -= 1
+        arr[i], arr[j] = arr[j], arr[i]
+        arr[i + 1 :] = arr[size - 1 : i : -1]
 
 
 class TestComposition:

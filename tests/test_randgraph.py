@@ -33,7 +33,7 @@ from colorstats.randgraph import (
     star_like,
     trend,
 )
-from colorstats.graph import parse_number
+from colorstats.graph import parse_int, parse_number
 from colorstats.seeds import stream
 
 MIXED_LAW = DegreeLaw((1, 3), (Fraction(1, 2), Fraction(1, 2)))
@@ -477,6 +477,15 @@ class TestSpecStrings:
     def test_expression_values_and_types(self, text, expected):
         got = parse_number(text, 100)
         assert got == expected and type(got) is type(expected)
+
+    @pytest.mark.parametrize("text", ["8", " 8 ", "+8", "-3", "0008", "1_000", "\u0663"])
+    def test_whole_numbers_read_as_int_reads_them(self, text):
+        assert parse_int(text) == int(text)
+
+    @pytest.mark.parametrize("text", ["8.0", "1x", "", "3/1", "1e3"])
+    def test_whole_number_refused(self, text):
+        with pytest.raises(ValueError, match="is not a whole number"):
+            parse_int(text)
 
     def test_missing_n_rejected_at_build(self):
         with pytest.raises(ValueError, match="fix n"):
