@@ -38,15 +38,27 @@ class BudgetExceededError(RuntimeError):
 
 
 def total_colorings(c: Composition) -> int:
-    """Number of distinct colorings: the multinomial coefficient."""
-    out = math.factorial(c.n)
+    """Number of distinct colorings: the multinomial coefficient, as a
+    product of binomials, whose cost follows the size of the result."""
+    out, left = 1, c.n
     for ci in c.classes:
-        out //= math.factorial(ci)
+        out *= math.comb(left, ci)
+        left -= ci
     return out
 
 
 def _check_budget(c: Composition, budget: int) -> int:
-    """total_colorings(c); BudgetExceededError if it is over the budget."""
+    """total_colorings(c); BudgetExceededError if it is over the budget.
+
+    A total more than e^1000 times the budget is refused from its lgamma
+    logarithm, before the exact count, which for a balanced composition
+    of n = 10^6 takes over ten seconds."""
+    log_total = math.lgamma(c.n + 1) - sum(math.lgamma(ci + 1) for ci in c.classes)
+    if log_total > math.log(max(budget, 1)) + 1000:
+        raise BudgetExceededError(
+            f"enumeration would visit about 10^{log_total / math.log(10):.0f} colorings, "
+            f"budget is {budget}"
+        )
     total = total_colorings(c)
     if total > budget:
         raise BudgetExceededError(f"enumeration would visit {total} colorings, budget is {budget}")

@@ -5,9 +5,11 @@ over squared expected edge count) decides whether the bichromatic count
 concentrates: a ratio vanishing along an n-grid means concentration, a
 ratio bounded away from zero means it does not.  This module provides the
 four models (Bernoulli pairs, erased configuration, torus geometric,
-weight-product), exact closed-form ratios where the model admits them,
-Monte Carlo estimates with standard errors, and trend, the one rule that
-turns a series over an n-grid into a verdict.
+weight-product), edge_moments, the one exact law of E[m], Var(m) and
+E[sigma2] per model that both the closed-form ratio and the star check
+Var(m) / E[m]^2 read (neither draws a graph), Monte Carlo estimates with
+standard errors (the only part that reads a trial count and a seed), and
+trend, the one rule that turns a series over an n-grid into a verdict.
 
 Closed forms are computed with exact rationals whenever the model
 parameters are rational; float parameters flow through as floats.
@@ -16,6 +18,7 @@ parameters are rational; float parameters flow through as floats.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Callable, Sequence
@@ -294,62 +297,52 @@ class RatioCriterion:
     post_erasure_ratio: float | None = None
 
 
-def _chung_lu_pairwise(spec: ChungLu):
-    """Group weights by value; yields exact per-pair probabilities."""
-    w = [Fraction(x) for x in spec.weights]
-    total = sum(w)
-    groups: dict[Fraction, int] = {}
-    for x in w:
-        groups[x] = groups.get(x, 0) + 1
-    vals = sorted(groups)
-    p = {
-        (a, b): min(Fraction(1), a * b / total)
-        for i, a in enumerate(vals)
-        for b in vals[i:]
-    }
+def edge_moments(spec: ModelSpec) -> tuple:
+    """(E[m], Var(m), E[sigma2]) of one model, exact for rational parameters.
 
-    def prob(a: Fraction, b: Fraction) -> Fraction:
-        return p[(a, b)] if (a, b) in p else p[(b, a)]
-
-    return vals, groups, prob
+    gnp, cl and starlike have independent edges, and geo has pairwise
+    independent ones with probability pi r^2 while r <= 1/2, so it is gnp.
+    Grouping the k_b vertices of each weight b (one group for gnp), a vertex
+    of weight a has degree mean d_a = sum_b (k_b - [a = b]) p(a, b) and
+    variance v_a = sum_b (k_b - [a = b]) p(a, b) (1 - p(a, b)); then
+    E[m] = sum_a k_a d_a / 2, Var(m) = sum_a k_a v_a / 2 and
+    E[sigma2] = sum_a k_a (v_a + d_a^2).  For config, m is half the stub
+    total before the parity stub and before erasure.
+    """
+    n = spec.n
+    if isinstance(spec, ConfigModel):
+        mean, second = spec.law.mean, spec.law.second_moment
+        return n * mean / 2, n * (second - mean * mean) / 4, n * second
+    if isinstance(spec, GeometricTorus):
+        return edge_moments(Gnp(n, math.pi * spec.r**2))
+    if isinstance(spec, Gnp):
+        groups, pair = {0: n}, lambda a, b: spec.p
+    elif isinstance(spec, ChungLu):
+        groups = {Fraction(w): k for w, k in Counter(spec.weights).items()}
+        total = sum(w * k for w, k in groups.items())
+        pair = lambda a, b: min(1, a * b / total)
+    else:
+        raise TypeError(f"unknown model spec {spec!r}")
+    # Fraction(0) keeps int sums exact and turns into a float on a float p;
+    # the pair sums (k_a k) p are the float product gnp's n (n - 1) p needs
+    twice_mean = twice_var = sigma2 = Fraction(0)
+    for a, k_a in groups.items():
+        d = v = Fraction(0)
+        for b, k_b in groups.items():
+            p, k = pair(a, b), k_b - (a == b)
+            d += k * p
+            v += k * p * (1 - p)
+            twice_mean += k_a * k * p
+            twice_var += k_a * k * p * (1 - p)
+        sigma2 += k_a * (v + d * d)
+    return twice_mean / 2, twice_var / 2, sigma2
 
 
 def ratio_closed_form(spec: ModelSpec) -> RatioCriterion:
     """Exact (or numerically evaluated) E[sigma2] / E[m]^2 for one model."""
-    n = spec.n
-    if isinstance(spec, Gnp):
-        p = spec.p
-        mean_d = (n - 1) * p
-        mean_d2 = mean_d * (1 - p) + mean_d * mean_d
-        num = n * mean_d2
-        den_root = Fraction(n * (n - 1), 2) * p if isinstance(p, (Fraction, int)) else n * (n - 1) / 2 * p
-        den = den_root * den_root
-    elif isinstance(spec, ConfigModel):
-        num = n * spec.law.second_moment
-        den_root = Fraction(n, 2) * spec.law.mean
-        den = den_root * den_root
-    elif isinstance(spec, GeometricTorus):
-        return ratio_closed_form(Gnp(n, math.pi * spec.r**2))
-    elif isinstance(spec, ChungLu):
-        vals, groups, prob = _chung_lu_pairwise(spec)
-        num = Fraction(0)
-        mean_m2 = Fraction(0)
-        for a in vals:
-            mean_d = sum(
-                (Fraction(groups[b]) * prob(a, b) for b in vals), start=Fraction(0)
-            ) - prob(a, a)
-            var_d = sum(
-                (Fraction(groups[b]) * prob(a, b) * (1 - prob(a, b)) for b in vals),
-                start=Fraction(0),
-            ) - prob(a, a) * (1 - prob(a, a))
-            num += groups[a] * (var_d + mean_d * mean_d)
-            mean_m2 += groups[a] * mean_d
-        den_root = mean_m2 / 2
-        den = den_root * den_root
-    else:
-        raise TypeError(f"unknown model spec {spec!r}")
-    ratio = None if den == 0 else num / den
-    return RatioCriterion(n=n, ratio=ratio)
+    mean, _, sigma2 = edge_moments(spec)
+    den = mean * mean
+    return RatioCriterion(n=spec.n, ratio=None if den == 0 else sigma2 / den)
 
 
 def _sample_stats(spec: ModelSpec, trials: int, seed: int, key: tuple[int, ...]):
@@ -496,41 +489,17 @@ class StarCheck:
     holds: bool
 
 
-def _edge_count_samples(spec: ModelSpec, trials: int, rng: np.random.Generator) -> np.ndarray:
-    """Samples of the edge count m under the model.
-
-    gnp and the configuration model admit direct sampling from the exact
-    law of m (binomial count, half the stub total); other models fall back
-    to generating graphs.
-    """
-    if isinstance(spec, Gnp):
-        return rng.binomial(spec.n * (spec.n - 1) // 2, float(spec.p), size=trials).astype(
-            np.float64
-        )
-    if isinstance(spec, ConfigModel):
-        sums = spec.law.sample(rng, (trials, spec.n)).sum(axis=1)
-        sums = sums + (sums % 2)  # odd totals get one extra stub
-        return (sums // 2).astype(np.float64)
-    return np.array([float(generate(spec, rng).m) for _ in range(trials)])
-
-
 def assumption_star_check(
-    template: Callable[[int], ModelSpec],
-    ns: Sequence[int],
-    trials: int = 400,
-    seed: int = 0,
+    template: Callable[[int], ModelSpec], ns: Sequence[int]
 ) -> StarCheck:
-    """Estimate Var(m) / E[m]^2 on an n-grid and report whether it vanishes."""
-    if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
+    """Var(m) / E[m]^2 on an n-grid, from edge_moments, and whether it vanishes."""
     check_grid(ns)
     values = []
-    for i, n in enumerate(ns):
-        ms = _edge_count_samples(template(int(n)), trials, stream(seed, i))
-        mean = ms.mean()
-        if mean == 0.0:
-            raise ValueError(f"model at n={n} generated no edges in {trials} trials")
-        values.append(float(ms.var(ddof=1)) / float(mean) ** 2)
+    for n in ns:
+        mean, var, _ = edge_moments(template(int(n)))
+        if mean * mean == 0:
+            raise ValueError(f"model at n={n} has no edges: E[m]^2 is 0")
+        values.append(float(var / (mean * mean)))
     exponent, label = trend(ns, values, RATIO_FLOOR)
     return StarCheck(values=tuple(values), exponent=exponent, holds=label == "vanishing")
 

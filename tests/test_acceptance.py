@@ -205,7 +205,7 @@ def test_criterion_09a_edge_count_variance_bernoulli():
     """Var(m)/E[m]^2 for the sparse Bernoulli family decays like 1/n:
     fitted exponent within [-1.3, -0.7]."""
     chk = assumption_star_check(
-        lambda n: Gnp(n, 4.0 / n), CHECK_GRID, trials=400, seed=5
+        lambda n: Gnp(n, 4.0 / n), CHECK_GRID
     )
     assert chk.exponent is not None
     assert -1.3 <= chk.exponent <= -0.7, f"fitted exponent {chk.exponent:.3f}"
@@ -215,7 +215,7 @@ def test_criterion_09b_edge_count_variance_config():
     """Var(m)/E[m]^2 for the 3-regular configuration model: required to
     decay like 1/n with a fitted exponent in [-1.3, -0.7]."""
     chk = assumption_star_check(
-        lambda n: ConfigModel(n, DELTA3), CHECK_GRID, trials=400, seed=5
+        lambda n: ConfigModel(n, DELTA3), CHECK_GRID
     )
     assert chk.exponent is not None and -1.3 <= chk.exponent <= -0.7, (
         "relative edge-count variance of the degree-3 configuration model "

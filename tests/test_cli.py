@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import colorstats
-from colorstats import oracle
+from colorstats import experiments, oracle, randgraph
 from colorstats.cli import main
 from colorstats.coloring import Composition
 from colorstats.experiments import FamilySpec, run_regime
@@ -40,6 +40,32 @@ def test_every_traced_name_resolves(monkeypatch):
         if not (isinstance(fn, types.FunctionType) and fn.__module__.startswith("colorstats.")):
             unresolved.append(f"{mod}.{attr}")
     assert unresolved == [] and len(tracer.TARGETS) >= 38
+
+
+def test_benchmark_graph_count_pin(monkeypatch, tmp_path, capsys):
+    # the benchmark's graphs_per_s divides this fixed count by the wall time;
+    # a change that draws more or fewer graphs must fail here
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    drawn = []
+    generate, config_sample = randgraph.generate, randgraph.config_sample
+
+    def counted_generate(spec, rng):
+        if not isinstance(spec, randgraph.ConfigModel):  # its config_sample call counts
+            drawn.append(spec)
+        return generate(spec, rng)
+
+    def counted_config_sample(spec, rng):
+        drawn.append(spec)
+        return config_sample(spec, rng)
+
+    monkeypatch.setattr(randgraph, "generate", counted_generate)
+    monkeypatch.setattr(experiments, "generate", counted_generate)
+    monkeypatch.setattr(randgraph, "config_sample", counted_config_sample)
+    for command in workloads.commands("many_small", 1, str(tmp_path), {}):
+        assert main(list(command.argv)) == 0, command.label
+    capsys.readouterr()
+    assert len(drawn) == workloads.logical_work("many_small")[1] == 1204
 
 
 class TestMoments:
@@ -279,13 +305,31 @@ class TestBadInput:
         assert code == 2 and "at least 2" in err
         assert out == "" and not target.exists()
 
-    @pytest.mark.parametrize("flags", [("--star-check",), ("--mode", "both"), ("--mode", "mc")])
+    @pytest.mark.parametrize("flags", [("--mode", "both"), ("--mode", "mc")])
     def test_rdcheck_trial_count_checked_before_output(self, capsys, flags):
         code, out, err = run(
             capsys, "rdcheck", "--model", "starlike", "--grid", "100,200", "--trials", "1", *flags
         )
         assert code == 2 and "at least 2" in err
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--graph", "cycle:12", "--classes", "balanced:3", "--trials", "10"],
+            ["regime", "--family", "star", "--classes", "3/4,1/4", "--grid", "40", "--trials", "3"],
+            ["rdcheck", "--model", "gnp:n=50,p=1/2", "--mode", "both", "--trials", "3"],
+        ],
+        ids=["simulate", "regime", "rdcheck"],
+    )
+    def test_negative_seed_exits_2_before_output(self, capsys, tmp_path, argv):
+        target = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "-2", "--out", str(target)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "expected a whole number >= 0, got '-2'" in err
+        assert not target.exists()
 
     @pytest.mark.parametrize(
         "argv, token",

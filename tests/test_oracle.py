@@ -3,6 +3,7 @@
 import importlib
 import itertools
 import math
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -66,6 +67,15 @@ class TestTotals:
         monkeypatch.undo()
         with pytest.raises(BudgetExceededError):
             arrangements(Composition((40, 40, 40)))
+
+    def test_far_over_budget_refused_before_the_count(self):
+        # the exact multinomial of n = 10^6 takes minutes; it is refused from
+        # its logarithm, and a small total of a large order is counted at once
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match=r"about 10\^\d+ colorings, budget is 10000000"):
+            arrangements(Composition.balanced(10**6, 3))
+        assert total_colorings(Composition((10**6 - 1, 1))) == 10**6
+        assert time.perf_counter() - t0 < 1.0
 
     def test_size_mismatch(self):
         c = Composition((2, 1))

@@ -1,5 +1,6 @@
 """Random graph models, the ratio criterion, and spec-string parsing."""
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -23,6 +24,7 @@ from colorstats.randgraph import (
     _decode_pairs,
     assumption_star_check,
     config_sample,
+    edge_moments,
     fit_power_law,
     generate,
     parse_model,
@@ -214,6 +216,89 @@ class TestClosedForm:
         assert all(r > 0.05 for r in ratios)
 
 
+def weighted_graph_moments(n, prob):
+    """(E[m], Var(m), E[sigma2]) over every graph on n vertices, each weighted
+    by its probability when the pair {u, v} is an edge independently with
+    probability prob(u, v)."""
+    pairs = list(itertools.combinations(range(n), 2))
+    mean = second = sigma2 = Fraction(0)
+    for present in itertools.product((False, True), repeat=len(pairs)):
+        weight = Fraction(1)
+        degrees = [0] * n
+        for (u, v), edge in zip(pairs, present):
+            p = prob(u, v)
+            weight *= p if edge else 1 - p
+            if edge:
+                degrees[u] += 1
+                degrees[v] += 1
+        m = sum(present)
+        mean += weight * m
+        second += weight * m * m
+        sigma2 += weight * sum(d * d for d in degrees)
+    return mean, second - mean * mean, sigma2
+
+
+def weighted_degree_moments(n, law):
+    """(E[m], Var(m), E[sigma2]) of the configuration model's m = half the stub
+    total, over every degree vector of n i.i.d. draws from `law`."""
+    mean = second = sigma2 = Fraction(0)
+    for draw in itertools.product(range(len(law.values)), repeat=n):
+        weight = math.prod((law.probs[i] for i in draw), start=Fraction(1))
+        degrees = [law.values[i] for i in draw]
+        m = Fraction(sum(degrees), 2)
+        mean += weight * m
+        second += weight * m * m
+        sigma2 += weight * sum(d * d for d in degrees)
+    return mean, second - mean * mean, sigma2
+
+
+class TestEdgeMoments:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            Gnp(4, Fraction(1, 3)),
+            Gnp(5, Fraction(2, 7)),
+            ChungLu(5, (4, 3, 1, 1, 1)),  # 4 * 3 > 10: that pair is capped at 1
+            ChungLu(4, (Fraction(5, 2), 3, 3, Fraction(1, 2))),  # 3 * 3 = 9 = sum(w)
+        ],
+        ids=["gnp4", "gnp5", "cl5_capped", "cl4_at_cap"],
+    )
+    def test_independent_edges_match_every_weighted_graph(self, spec):
+        if isinstance(spec, Gnp):
+            prob = lambda u, v: spec.p
+        else:
+            w = [Fraction(x) for x in spec.weights]
+            prob = lambda u, v: min(Fraction(1), w[u] * w[v] / sum(w))
+        assert edge_moments(spec) == weighted_graph_moments(spec.n, prob)
+
+    @pytest.mark.parametrize(
+        "law", [MIXED_LAW, DegreeLaw((0, 2, 5), (Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)))]
+    )
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_config_matches_every_degree_vector(self, law, n):
+        assert edge_moments(ConfigModel(n, law)) == weighted_degree_moments(n, law)
+
+    @pytest.mark.parametrize(
+        "template",
+        [
+            lambda n: Gnp(n, Fraction(1, 2)),
+            lambda n: GeometricTorus(n, 0.1),
+            lambda n: ChungLu(n, tuple(range(1, n + 1))),
+            star_like,
+            lambda n: ConfigModel(n, MIXED_LAW),
+        ],
+        ids=["gnp", "geo", "cl", "starlike", "config"],
+    )
+    def test_star_check_draws_no_graph(self, monkeypatch, template):
+        def refuse(*args):
+            raise AssertionError("the star check drew a graph")
+
+        monkeypatch.setattr(randgraph, "generate", refuse)
+        monkeypatch.setattr(randgraph, "config_sample", refuse)
+        chk = assumption_star_check(template, [40, 80])
+        assert len(chk.values) == 2 and all(v > 0 for v in chk.values)
+
+
 class TestMonteCarlo:
     def test_needs_trials(self):
         with pytest.raises(ValueError):
@@ -330,14 +415,14 @@ class TestTrendClassifier:
 class TestEdgeCountCheck:
     def test_bernoulli_pairs_hold(self):
         chk = assumption_star_check(
-            lambda n: Gnp(n, Fraction(1, 2)), [40, 80, 160], trials=300, seed=2
+            lambda n: Gnp(n, Fraction(1, 2)), [40, 80, 160]
         )
         assert chk.holds
         assert chk.exponent == pytest.approx(-2.0, abs=0.5)
 
     def test_deterministic_total_holds_trivially(self):
         chk = assumption_star_check(
-            lambda n: ConfigModel(n, DELTA3), [50, 100], trials=50, seed=3
+            lambda n: ConfigModel(n, DELTA3), [50, 100]
         )
         assert chk.values == (0.0, 0.0)
         assert chk.exponent is None
@@ -359,26 +444,26 @@ class TestEdgeCountCheck:
         ],
     )
     def test_check_matches_reference(self, template, grid):
-        chk = assumption_star_check(template, grid, trials=200, seed=8)
+        chk = assumption_star_check(template, grid)
         assert chk.values[-1] < RATIO_FLOOR
         assert (chk.exponent, chk.holds) == reference_star_rule(grid, list(chk.values))
 
     def test_decay_above_the_floor_does_not_hold(self):
         # Var(m)/E[m]^2 of gnp with p = 1/n is about 2/n: it decays, but at
         # n = 32 it is still above the floor
-        chk = assumption_star_check(lambda n: Gnp(n, Fraction(1, n)), [8, 16, 32], trials=2000, seed=1)
+        chk = assumption_star_check(lambda n: Gnp(n, Fraction(1, n)), [8, 16, 32])
         assert chk.values[-1] > RATIO_FLOOR
         assert chk.exponent <= -0.5 and not chk.holds
         assert reference_star_rule([8, 16, 32], list(chk.values))[1]
 
     def test_one_point_grid(self):
-        chk = assumption_star_check(lambda n: Gnp(n, Fraction(1, 2)), [100], trials=50, seed=0)
+        chk = assumption_star_check(lambda n: Gnp(n, Fraction(1, 2)), [100])
         assert len(chk.values) == 1
         assert chk.exponent is None and not chk.holds
 
     def test_edgeless_model_refused(self):
         with pytest.raises(ValueError, match="no edges"):
-            assumption_star_check(lambda n: Gnp(n, Fraction(0)), [10, 20], trials=10, seed=0)
+            assumption_star_check(lambda n: Gnp(n, Fraction(0)), [10, 20])
 
 
 class TestSpecStrings:
