@@ -136,6 +136,8 @@ def _cmd_rdcheck(args) -> int:
     if args.mode != "closed" and args.trials < 2:
         raise ValueError(f"need at least 2 trials, got {args.trials}")
     modes = {"closed": ["closed_form"], "mc": ["monte_carlo"], "both": ["closed_form", "monte_carlo"]}[args.mode]
+    # exact and cheap, so a model it refuses ends the run before any output
+    check = randgraph.assumption_star_check(template, grid) if args.star_check else None
     payload: dict = {"model": args.model, "grid": list(grid)}
     for mode in modes:
         result = randgraph.ratio_over_grid(
@@ -149,8 +151,7 @@ def _cmd_rdcheck(args) -> int:
             val = "n/a" if pt.ratio is None else f"{float(pt.ratio):.6g}"
             print(f"{label:>6}  n={pt.n:<6} ratio={val}{se}")
         print(f"{label:>6}  verdict: {result.verdict}")
-    if args.star_check:
-        check = randgraph.assumption_star_check(template, grid)
+    if check is not None:
         payload["star_check"] = record_json(check)
         exp = "n/a" if check.exponent is None else f"{check.exponent:.3f}"
         print(f"size-variance check: exponent={exp} holds={check.holds}")

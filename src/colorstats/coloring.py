@@ -5,6 +5,13 @@ uniform draw from all arrangements of the multiset containing c_i copies of
 color i.  Colors are numbered 1..s.  This module provides the composition
 type, exact event probabilities, and samplers (single draw and a vectorized
 batch used by the Monte Carlo harnesses).
+
+The batch sampler shuffles its rows a block at a time in one reusable
+np.intp buffer and copies each block into the narrow int8/int16/int32
+result.  numpy's Fisher-Yates loop swaps items of sizeof(npy_intp) bytes
+directly and items of any other size by a byte copy, so the wide buffer is
+faster.  The random draws do not depend on the item size, so a fixed seed
+gives the same colorings as a shuffle of the narrow matrix itself.
 """
 
 from __future__ import annotations
@@ -27,6 +34,9 @@ MAX_ENUMERATED_COLORS = 12
 
 # cells (edges x rows) per count_batch comparison buffer
 BATCH_CELLS = 1 << 22
+
+# cells (rows x n) of the np.intp buffer that sample_batch shuffles
+SHUFFLE_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -108,14 +118,24 @@ def sample(c: Composition, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_batch(c: Composition, trials: int, rng: np.random.Generator) -> np.ndarray:
-    """(trials, n) array of independent uniform colorings, one per row."""
+    """(trials, n) array of independent uniform colorings, one per row.
+
+    Rows are shuffled in order, about SHUFFLE_CELLS cells at a time, in one
+    np.intp buffer; the result equals a shuffle of the narrow matrix whole.
+    """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     dtype = np.int8 if c.s <= 127 else np.int16 if c.s <= 32767 else np.int32
     base = np.repeat(np.arange(1, c.s + 1, dtype=dtype), c.classes)
-    mat = np.tile(base, (trials, 1))
-    rng.permuted(mat, axis=1, out=mat)
-    return mat
+    out = np.empty((trials, len(base)), dtype=dtype)
+    # numpy swaps items of sizeof(npy_intp) bytes directly, any other size by a byte copy
+    buf = np.empty((min(trials, max(1, SHUFFLE_CELLS // len(base))), len(base)), dtype=np.intp)
+    for lo in range(0, trials, len(buf)):
+        block = buf[: trials - lo]
+        block[:] = base
+        rng.permuted(block, axis=1, out=block)
+        out[lo : lo + len(block)] = block
+    return out
 
 
 def count_batch(g: Graph, colors: np.ndarray) -> np.ndarray:

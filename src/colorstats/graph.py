@@ -126,19 +126,22 @@ def star(n: int) -> Graph:
     """Star on n vertices: center 0 joined to the n-1 leaves."""
     if n < 2:
         raise ValueError(f"star needs n >= 2, got {n}")
-    return Graph.from_edges(n, [(0, v) for v in range(1, n)])
+    leaves = np.arange(1, n)
+    return Graph.from_edges(n, np.column_stack((np.zeros_like(leaves), leaves)))
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"path needs n >= 1, got {n}")
-    return Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+    v = np.arange(n - 1)
+    return Graph.from_edges(n, np.column_stack((v, v + 1)))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
-    return Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+    v = np.arange(n)
+    return Graph.from_edges(n, np.column_stack((v, (v + 1) % n)))
 
 
 def regular_circulant(n: int, d: int) -> Graph:

@@ -534,6 +534,16 @@ class TestRdcheck:
         assert len(check["values"]) == 1
         assert check["exponent"] is None and check["holds"] is False
 
+    def test_star_check_refusal_comes_before_any_output(self, capsys, tmp_path):
+        target = tmp_path / "payload.json"
+        code, out, err = run(
+            capsys, "rdcheck", "--model", "gnp:n=10,p=0", "--star-check", "--out", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert "has no edges" in err
+        assert not target.exists()
+
     def test_weight_file_fixes_n(self, capsys, tmp_path):
         weights = tmp_path / "w8.txt"
         weights.write_text("1 2 3 4 1 1 1 2\n")

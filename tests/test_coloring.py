@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from colorstats import coloring
 from colorstats.coloring import (
     Composition,
     count_batch,
@@ -79,6 +81,29 @@ def multiset_permutations(word: Sequence[int]) -> Iterator[tuple[int, ...]]:
         arr[i + 1 :] = arr[size - 1 : i : -1]
 
 
+def reference_sample_batch(c: Composition, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """sample_batch's narrow matrix shuffled whole: one tile of the color
+    multiset per row, permuted in place along the rows."""
+    dtype = np.int8 if c.s <= 127 else np.int16 if c.s <= 32767 else np.int32
+    base = np.repeat(np.arange(1, c.s + 1, dtype=dtype), c.classes)
+    mat = np.tile(base, (trials, 1))
+    rng.permuted(mat, axis=1, out=mat)
+    return mat
+
+
+# (composition, trials): short last blocks, one row per block past
+# SHUFFLE_CELLS, a single row, and each result dtype
+BATCH_SHAPES = [
+    (Composition.balanced(100, 3), 1000),
+    (Composition.balanced(40, 3), 3),
+    (Composition.balanced(100_000, 3), 3),
+    (Composition((4, 3)), 1),
+    (Composition((6, 5)), 7000),
+    (Composition.balanced(1000, 200), 70),
+    (Composition.balanced(40_000, 40_000), 2),
+]
+
+
 class TestComposition:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -131,6 +156,24 @@ class TestSampling:
     def test_batch_colors_stay_distinct_past_int16(self):
         row = sample_batch(Composition((1,) * 70_000), 1, stream(4))[0]
         assert len(np.unique(row)) == 70_000
+
+    @pytest.mark.parametrize("c, trials", BATCH_SHAPES)
+    def test_batch_matches_reference(self, c, trials):
+        rng, ref_rng = stream(8), stream(8)
+        got, want = sample_batch(c, trials, rng), reference_sample_batch(c, trials, ref_rng)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+        assert rng.random() == ref_rng.random()  # the same draws were consumed
+
+    @pytest.mark.parametrize("c, trials", [BATCH_SHAPES[0], BATCH_SHAPES[2]])
+    def test_batch_memory_is_the_result_and_one_buffer(self, c, trials):
+        tracemalloc.start()
+        try:
+            out = sample_batch(c, trials, stream(10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 8 * max(coloring.SHUFFLE_CELLS, c.n) + (1 << 20)
 
     def test_uniform_over_all_colorings(self):
         """Chi-square goodness of fit at the 1e-3 level, every composition

@@ -41,6 +41,14 @@ def zeta_sq(g):
     return full_report(g, Composition.balanced(g.n, 2)).zeta_sq
 
 
+# the list-built generators that star, path and cycle replaced
+LIST_BUILT = {
+    star: lambda n: Graph.from_edges(n, [(0, v) for v in range(1, n)]),
+    path: lambda n: Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)]),
+    cycle: lambda n: Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)]),
+}
+
+
 class TestGraphConstruction:
     def test_canonicalization(self):
         g = Graph.from_edges(4, [(3, 1), (0, 2), (1, 0)])
@@ -145,6 +153,12 @@ class TestGenerators:
         assert cycle(6).m == 6
         assert path(6).m == 5
         assert star(6).m == 5
+
+    @pytest.mark.parametrize("build, low", [(star, 2), (path, 1), (cycle, 3)],
+                             ids=["star", "path", "cycle"])
+    def test_matches_list_built_reference(self, build, low):
+        for n in [*range(low, 61), 10**5]:
+            assert build(n) == LIST_BUILT[build](n), n
 
     def test_circulant_regular(self):
         assert set(regular_circulant(10, 4).degrees) == {4}
