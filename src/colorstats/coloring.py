@@ -3,7 +3,9 @@
 A coloring of n vertices with s color classes of sizes (c_1, ..., c_s) is a
 uniform draw from all arrangements of the multiset containing c_i copies of
 color i.  Colors are numbered 1..s.  This module provides the composition
-type, exact event probabilities, and samplers (single draw and a vectorized
+type, exact probabilities of block events (disjoint vertex blocks each
+monochromatic, in given colors or in pairwise distinct ones; the oracle
+checks them by enumeration), and samplers (single draw and a vectorized
 batch used by the Monte Carlo harnesses).
 
 The batch sampler shuffles its rows a block at a time in one reusable
@@ -16,8 +18,7 @@ gives the same colorings as a shuffle of the narrow matrix itself.
 
 from __future__ import annotations
 
-import itertools
-import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Sequence
@@ -26,11 +27,6 @@ import numpy as np
 
 from .graph import Graph
 from .symfun import elementary_symmetric, falling_factorial
-
-# injection enumeration in prob_distinct_colors is factorial in s; closed
-# forms cover the shapes that arise in the moment formulas, the rest is
-# capped here
-MAX_ENUMERATED_COLORS = 12
 
 # cells (edges x rows) per count_batch comparison buffer
 BATCH_CELLS = 1 << 22
@@ -198,42 +194,23 @@ def prob_fixed_colors(
 def prob_distinct_colors(c: Composition, sizes: Sequence[int]) -> Fraction:
     """P(each block is monochromatic and the blocks get pairwise distinct colors).
 
-    Sum of prob_fixed_colors over all injections of blocks into colors.
-    Uses closed forms for the shapes that show up in the moment formulas
-    (all sizes equal, and one 2 with the rest 1s); generic shapes fall back
-    to injection enumeration, which is capped at s <= MAX_ENUMERATED_COLORS.
+    The sum of prob_fixed_colors over all injections of blocks into colors,
+    taken color by color: each color stays unused or takes one still-open
+    block, and the state is the number of open blocks of each size.  A color
+    of c_i vertices that takes one of r open blocks of size b contributes a
+    factor r * (c_i)_b.  Exact for any block sizes and any s; the work grows
+    with s times the number of states.
     """
     total = _validate_sizes(c, sizes)
-    k = len(sizes)
-    if k > c.s:
-        return Fraction(0)
-    n = c.n
-    ordered = tuple(sorted(sizes, reverse=True))
-
-    if all(a == ordered[0] for a in ordered):
-        # k blocks of equal size b: k! * e_k of the per-class arrangement counts
-        b = ordered[0]
-        kn_of_classes = [falling_factorial(ci, b) for ci in c.classes]
-        return Fraction(
-            math.factorial(k) * elementary_symmetric(kn_of_classes, k),
-            falling_factorial(n, k * b),
-        )
-
-    if ordered[0] == 2 and all(a == 1 for a in ordered[1:]):
-        # one block of 2 and k-1 singletons
-        ek = c.elementary(k)
-        ek1 = c.elementary(k + 1)
-        return Fraction(
-            math.factorial(k - 1) * ((n - k) * ek - (k + 1) * ek1),
-            falling_factorial(n, k + 1),
-        )
-
-    if c.s > MAX_ENUMERATED_COLORS:
-        raise ValueError(
-            f"no closed form for sizes {tuple(sizes)} and enumeration is "
-            f"limited to s <= {MAX_ENUMERATED_COLORS} colors, got s={c.s}"
-        )
-    acc = Fraction(0)
-    for iota in itertools.permutations(range(1, c.s + 1), k):
-        acc += prob_fixed_colors(c, sizes, iota)
-    return acc
+    kinds = Counter(sizes)
+    # ways[open] sums the numerators over the colors so far, by open blocks per size
+    ways = {tuple(kinds.values()): 1}
+    for ci in c.classes:
+        nxt = dict(ways)
+        for open_, w in ways.items():
+            for j, (b, r) in enumerate(zip(kinds, open_)):
+                if r:
+                    key = open_[:j] + (r - 1,) + open_[j + 1 :]
+                    nxt[key] = nxt.get(key, 0) + w * r * falling_factorial(ci, b)
+        ways = nxt
+    return Fraction(ways.get((0,) * len(kinds), 0), falling_factorial(c.n, total))

@@ -170,11 +170,14 @@ def threshold_graph(creation: str) -> Graph:
     seq = creation.strip().upper()
     if not seq or any(ch not in "ID" for ch in seq):
         raise ValueError(f"creation sequence must be nonempty over I/D, got {creation!r}")
-    edges = []
-    for v, ch in enumerate(seq):
-        if ch == "D":
-            edges.extend((u, v) for u in range(v))
-    return Graph.from_edges(len(seq), edges)
+    n = len(seq)
+    dom = np.flatnonzero([ch == "D" for ch in seq])
+    # u is joined to the D vertices after it, dom[after[u]:], listed in (u, v) order
+    after = np.searchsorted(dom, np.arange(n), side="right")
+    counts = len(dom) - after
+    starts = np.cumsum(counts) - counts
+    v = dom[np.arange(counts.sum()) - np.repeat(starts - after, counts)]
+    return Graph.from_edges(n, np.column_stack((np.repeat(np.arange(n), counts), v)))
 
 
 def disjoint_union(graphs: Sequence[Graph]) -> Graph:

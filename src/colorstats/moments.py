@@ -5,7 +5,8 @@ count, M_i is the number of edges whose endpoints both receive color i,
 M is their total, and L = m - M is the bichromatic count.  The formulas
 below give exact means and variances in terms of m, the degree second
 moment, and falling factorials / elementary symmetric polynomials of the
-class sizes.  Rational arithmetic is authoritative.
+class sizes; both variances come from one sum over ordered pairs of edges.
+Rational arithmetic is authoritative.
 
 Variance formulas divide by the falling factorial of n over 4 entries and
 therefore require n >= 4; for n in {2, 3} use the exhaustive distribution
@@ -40,20 +41,25 @@ def mean_Mi(m: int, n: int, c_i: int) -> Fraction:
     return Fraction(m * ff(c_i, 2), ff(n, 2))
 
 
+def _edge_pair_var(st: GraphStats, p1: Fraction, p2: Fraction, p22: Fraction) -> Fraction:
+    """Variance of the number of edges with a property, from p1 = P(one edge
+    has it), p2 = P(two edges that share a vertex both do) and p22 = P(two
+    disjoint edges both do).  The graph has sigma2 - 2m ordered pairs of
+    edges that share a vertex and m^2 + m - sigma2 ordered disjoint pairs."""
+    m = st.m
+    return (p2 - p22) * st.sigma2 + (p22 - p1 * p1) * m * m + (p1 - 2 * p2 + p22) * m
+
+
 def var_Mi(st: GraphStats, c: Composition, color: int) -> Fraction:
     """Var[M_i] for color i (1-based), from the graph's (m, sigma2) summary."""
-    n, m = st.n, st.m
+    n = st.n
     _require_n4(n, "var_Mi")
     if c.n != n:
         raise ValueError(f"composition covers {c.n} vertices but graph has {n}")
     if not (1 <= color <= c.s):
         raise ValueError(f"color must lie in 1..{c.s}, got {color}")
     ci = c.classes[color - 1]
-    q2 = Fraction(ff(ci, 2), ff(n, 2))
-    q3 = Fraction(ff(ci, 3), ff(n, 3))
-    q4 = Fraction(ff(ci, 4), ff(n, 4))
-    sigma2_coeff = Fraction(ff(ci, 3) * (n - ci), ff(n, 4))
-    return sigma2_coeff * st.sigma2 - (q2 * q2 - q4) * m * m + (q2 - 2 * q3 + q4) * m
+    return _edge_pair_var(st, *(Fraction(ff(ci, k), ff(n, k)) for k in (2, 3, 4)))
 
 
 def coefficients_ab(c: Composition) -> tuple[Fraction, Fraction]:
@@ -83,13 +89,12 @@ def mean_M_L(m: int, c: Composition) -> tuple[Fraction, Fraction]:
 
 def var_common(st: GraphStats, c: Composition) -> Fraction:
     """Common variance of M and of L (they differ by the constant m)."""
-    n, m = st.n, st.m
+    n = st.n
     _require_n4(n, "var_common")
     if c.n != n:
         raise ValueError(f"composition covers {c.n} vertices but graph has {n}")
     a, b = coefficients_ab(c)
-    q = Fraction(c.elementary(2), ff(n, 2))
-    return (a - b) * st.sigma2 + (b - 4 * q * q) * m * m + (2 * q - 2 * a + b) * m
+    return _edge_pair_var(st, Fraction(2 * c.elementary(2), ff(n, 2)), a, b)
 
 
 def rho(c: Composition) -> Fraction:

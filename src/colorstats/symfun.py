@@ -8,6 +8,7 @@ power sums.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 
@@ -18,12 +19,7 @@ def falling_factorial(a: int, b: int) -> int:
     """
     if a < 0 or b < 0:
         raise ValueError(f"falling_factorial requires a, b >= 0, got a={a}, b={b}")
-    if b > a:
-        return 0
-    out = 1
-    for j in range(b):
-        out *= a - j
-    return out
+    return math.perm(a, b)
 
 
 def elementary_symmetric(values: Sequence[int], k: int) -> int:

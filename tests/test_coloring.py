@@ -264,9 +264,11 @@ class TestEventProbabilities:
             prob_distinct_colors(c, (4, 3))
 
     def test_total_mass_over_injections(self):
-        for parts in [(2, 2), (3, 1), (2, 2, 2), (1, 2, 4)]:
+        for parts in [(2, 2), (3, 1), (2, 2, 2), (1, 2, 4), (3, 3, 2, 2), (1, 4, 2, 3, 3)]:
             c = Composition(parts)
-            for sizes in [(1, 1), (2, 1), (2, 2)]:
+            for sizes in [(1, 1), (2, 1), (2, 2), (2, 2, 1), (3, 2, 2, 1)]:
+                if sum(sizes) > c.n:
+                    continue
                 total = sum(
                     prob_fixed_colors(c, sizes, iota)
                     for iota in itertools.permutations(
@@ -276,7 +278,7 @@ class TestEventProbabilities:
                 assert total == prob_distinct_colors(c, sizes)
 
     def test_two_pairs_closed_form_specialization(self):
-        # the equal-size route at two blocks of two must match the explicit
+        # the sum over colors at two blocks of two must match the explicit
         # e2/e3/e4 expression
         for parts in [(2, 2), (3, 2), (4, 4), (2, 2, 2), (3, 2, 2), (5, 1, 3)]:
             c = Composition(parts)
@@ -287,10 +289,14 @@ class TestEventProbabilities:
             )
             assert prob_distinct_colors(c, (2, 2)) == explicit
 
-    def test_enumeration_cap(self):
-        c = Composition((2,) * 13)
-        with pytest.raises(ValueError, match="12"):
-            prob_distinct_colors(c, (3, 1))
+    def test_thirteen_colors_match_injection_sum(self):
+        c = Composition(tuple(range(1, 14)))
+        sizes = (3, 2, 1)
+        want = sum(
+            prob_fixed_colors(c, sizes, iota)
+            for iota in itertools.permutations(range(1, c.s + 1), len(sizes))
+        )
+        assert prob_distinct_colors(c, sizes) == want
 
     def test_probability_range(self):
         for parts in [(2, 2), (4, 1), (2, 3, 3)]:

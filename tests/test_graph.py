@@ -41,12 +41,19 @@ def zeta_sq(g):
     return full_report(g, Composition.balanced(g.n, 2)).zeta_sq
 
 
-# the list-built generators that star, path and cycle replaced
+# the list-built generators that star, path, cycle and threshold_graph replaced
 LIST_BUILT = {
     star: lambda n: Graph.from_edges(n, [(0, v) for v in range(1, n)]),
     path: lambda n: Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)]),
     cycle: lambda n: Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)]),
 }
+
+
+def threshold_loop(creation):
+    """threshold_graph as a loop over the sequence: a D vertex joins every earlier one."""
+    seq = creation.strip().upper()
+    edges = [(u, v) for v, ch in enumerate(seq) if ch == "D" for u in range(v)]
+    return Graph.from_edges(len(seq), edges)
 
 
 class TestGraphConstruction:
@@ -180,6 +187,14 @@ class TestGenerators:
             for chosen in itertools.combinations(pairs, 4)
         )
         assert best == 18
+
+    def test_threshold_matches_loop_reference(self):
+        for length in range(1, 11):
+            for seq in itertools.product("ID", repeat=length):
+                creation = "".join(seq)
+                assert threshold_graph(creation) == threshold_loop(creation), creation
+        assert threshold_graph("D" * 2000) == threshold_loop("D" * 2000)
+        assert threshold_graph(" idDi ") == threshold_loop(" idDi ")
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
