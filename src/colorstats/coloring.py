@@ -169,6 +169,15 @@ def _validate_sizes(c: Composition, sizes: Sequence[int]) -> int:
     return total
 
 
+def _validate_iota(c: Composition, sizes: Sequence[int], iota: Sequence[int]) -> None:
+    if len(iota) != len(sizes):
+        raise ValueError("iota must assign one color per block")
+    if len(set(iota)) != len(iota):
+        raise ValueError(f"iota must be injective, got {tuple(iota)}")
+    if any(not (1 <= i <= c.s) for i in iota):
+        raise ValueError(f"iota colors must lie in 1..{c.s}, got {tuple(iota)}")
+
+
 def prob_fixed_colors(
     c: Composition, sizes: Sequence[int], iota: Sequence[int]
 ) -> Fraction:
@@ -179,12 +188,7 @@ def prob_fixed_colors(
     colors, not on which vertices form the blocks.
     """
     total = _validate_sizes(c, sizes)
-    if len(iota) != len(sizes):
-        raise ValueError("iota must assign one color per block")
-    if len(set(iota)) != len(iota):
-        raise ValueError(f"iota must be injective, got {tuple(iota)}")
-    if any(not (1 <= i <= c.s) for i in iota):
-        raise ValueError(f"iota colors must lie in 1..{c.s}, got {tuple(iota)}")
+    _validate_iota(c, sizes, iota)
     num = 1
     for a, i in zip(sizes, iota):
         num *= falling_factorial(c.classes[i - 1], a)

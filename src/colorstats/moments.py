@@ -45,9 +45,21 @@ def _edge_pair_var(st: GraphStats, p1: Fraction, p2: Fraction, p22: Fraction) ->
     """Variance of the number of edges with a property, from p1 = P(one edge
     has it), p2 = P(two edges that share a vertex both do) and p22 = P(two
     disjoint edges both do).  The graph has sigma2 - 2m ordered pairs of
-    edges that share a vertex and m^2 + m - sigma2 ordered disjoint pairs."""
+    edges that share a vertex and m^2 + m - sigma2 ordered disjoint pairs.
+
+    That is (p2 - p22) sigma2 + (p22 - p1^2) m^2 + (p1 - 2 p2 + p22) m, taken
+    as one integer numerator over the common denominator d1^2 d2 d22, where
+    d1, d2 and d22 are the denominators of p1, p2 and p22."""
     m = st.m
-    return (p2 - p22) * st.sigma2 + (p22 - p1 * p1) * m * m + (p1 - 2 * p2 + p22) * m
+    n1, d1 = p1.numerator, p1.denominator
+    n2, d2 = p2.numerator, p2.denominator
+    n22, d22 = p22.numerator, p22.denominator
+    num = (
+        (n2 * d22 - n22 * d2) * d1 * d1 * st.sigma2
+        + (n22 * d1 * d1 - n1 * n1 * d22) * d2 * m * m
+        + (n1 * d2 * d22 - 2 * n2 * d1 * d22 + n22 * d1 * d2) * d1 * m
+    )
+    return Fraction(num, d1 * d1 * d2 * d22)
 
 
 def var_Mi(st: GraphStats, c: Composition, color: int) -> Fraction:

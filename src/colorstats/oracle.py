@@ -9,6 +9,12 @@ closed-form moment formulas is validated against this module on small
 graphs; it is also the fallback for n < 4 where the variance formulas do
 not apply.
 
+The counts come from one gather per graph, not one pass per edge: a chunk
+of rows takes the colors of every edge's endpoints at once, about
+coloring.BATCH_CELLS (row, edge) cells at a time, and counts each color's
+monochromatic edges per row.  The moments are integer power sums over the
+law's support, and each moment is one Fraction built from them.
+
 A table has n! / (c_1! ... c_s!) rows, so its row count is capped by an
 explicit budget (default 10^7), which bounds memory as well as time.
 """
@@ -24,7 +30,14 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 from . import moments
-from .coloring import Composition, _validate_sizes, prob_distinct_colors, prob_fixed_colors
+from .coloring import (
+    BATCH_CELLS,
+    Composition,
+    _validate_iota,
+    _validate_sizes,
+    prob_distinct_colors,
+    prob_fixed_colors,
+)
 from .graph import Graph, GraphStats, complete, cycle, path, star, stats, threshold_graph
 from .randgraph import Gnp, generate
 from .seeds import stream
@@ -103,16 +116,38 @@ class ExactDistribution:
     total: int
 
 
+def _check_table(c: Composition, table: np.ndarray) -> None:
+    """ValueError unless table has the shape of c's arrangement table and
+    its first row holds c's color counts; its columns may be permuted."""
+    if table.shape != (total_colorings(c), c.n) or np.bincount(
+        table[0], minlength=c.s + 1
+    ).tolist() != [0, *c.classes]:
+        raise ValueError(
+            f"table of shape {table.shape} is not an arrangement table of classes {c.classes}"
+        )
+
+
 def enumerate_colorings(g: Graph, c: Composition, table: np.ndarray) -> ExactDistribution:
     """Exact joint distribution of per-color monochromatic counts on g,
-    over the rows of c's arrangement table."""
+    over the rows of c's arrangement table.
+
+    Rows are read in chunks of about BATCH_CELLS (row, edge) cells, so
+    beyond the table, the (rows, s) counts and their tabulation (a sorted
+    copy and an 8-byte permutation per row) memory stays near a few
+    BATCH_CELLS bytes, however many edges g has.
+    """
     if g.n != c.n:
         raise ValueError(f"composition covers {c.n} vertices but graph has {g.n}")
-    per_color = np.zeros((len(table), c.s), dtype=np.min_scalar_type(g.m))
-    for u, v in zip(g.u.tolist(), g.v.tolist()):
-        cu = table[:, u]
-        same = cu == table[:, v]
-        per_color[same, cu[same] - 1] += 1
+    _check_table(c, table)
+    per_color = np.empty((len(table), c.s), dtype=np.min_scalar_type(g.m))
+    step = max(1, BATCH_CELLS // max(1, g.m))
+    for lo in range(0, len(table), step):
+        part, out = table[lo : lo + step], per_color[lo : lo + step]
+        tu = part[:, g.u]
+        same = tu == part[:, g.v]
+        for k in range(c.s):
+            # at most m per row, so the count fits per_color's dtype
+            out[:, k] = (same & (tu == k + 1)).sum(axis=1, dtype=out.dtype)
     # rows sorted by column 0 first, then the runs of equal rows
     rows = per_color[np.lexsort(per_color.T[::-1])]
     starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
@@ -136,32 +171,33 @@ class OracleMoments:
 
 def exact_moments(dist: ExactDistribution, m: int) -> OracleMoments:
     """Means, variances, and covariances of the per-color counts; m is the
-    edge count, needed to place L = m - M."""
-    s = len(next(iter(dist.support)))
-    total = dist.total
-    s1 = [0] * s
-    s2 = [[0] * s for _ in range(s)]
-    for outcome, cnt in dist.support.items():
-        for i in range(s):
-            s1[i] += outcome[i] * cnt
-            for j in range(s):
-                s2[i][j] += outcome[i] * outcome[j] * cnt
-    e1 = [Fraction(x, total) for x in s1]
-    cov = tuple(
-        tuple(Fraction(s2[i][j], total) - e1[i] * e1[j] for j in range(s))
-        for i in range(s)
-    )
-    mean_m = sum(e1, start=Fraction(0))
-    var_m = sum(
-        (cov[i][j] for i in range(s) for j in range(s)), start=Fraction(0)
-    )
+    edge count, needed to place L = m - M.
+
+    The power sums s1[i] = sum(cnt * M_i) and s2[i][j] = sum(cnt * M_i * M_j)
+    over the support are integers, so each moment is one Fraction:
+    Cov(M_i, M_j) = (total * s2[i][j] - s1[i] * s1[j]) / total^2.
+    """
+    total, sq = dist.total, dist.total**2
+    cols = list(zip(*dist.support))  # the values of M_i over the support
+    weighted = [[x * cnt for x, cnt in zip(col, dist.support.values())] for col in cols]
+    s1 = [sum(w) for w in weighted]
+    s = len(cols)
+    cov = [[None] * s for _ in range(s)]
+    s2_all = 0  # sum over i, j of s2[i][j], the power sum of M^2
+    for i in range(s):
+        for j in range(i, s):
+            s2 = sum(x * y for x, y in zip(weighted[i], cols[j]))
+            cov[i][j] = cov[j][i] = Fraction(total * s2 - s1[i] * s1[j], sq)
+            s2_all += s2 if i == j else 2 * s2
+    s1_all = sum(s1)
+    var_m = Fraction(total * s2_all - s1_all * s1_all, sq)
     return OracleMoments(
-        mean_Mi=tuple(e1),
+        mean_Mi=tuple(Fraction(x, total) for x in s1),
         var_Mi=tuple(cov[i][i] for i in range(s)),
-        cov_Mi=cov,
-        mean_M=mean_m,
+        cov_Mi=tuple(map(tuple, cov)),
+        mean_M=Fraction(s1_all, total),
         var_M=var_m,
-        mean_L=m - mean_m,
+        mean_L=Fraction(m * total - s1_all, total),
         var_L=var_m,
     )
 
@@ -181,13 +217,15 @@ def event_frequency(
     colors.
     """
     _validate_sizes(c, sizes)
-    if iota is not None and len(iota) != len(sizes):
-        raise ValueError("iota must assign one color per block")
+    if iota is not None:
+        _validate_iota(c, sizes, iota)
+    _check_table(c, table)
     starts = list(itertools.accumulate(sizes, initial=0))[:-1]
     ok = np.ones(len(table), dtype=bool)
     for start, a in zip(starts, sizes):
-        cols = table[:, start : start + a]
-        ok &= (cols == cols[:, :1]).all(axis=1)
+        if a > 1:  # a block of one vertex is always monochromatic
+            cols = table[:, start : start + a]
+            ok &= (cols == cols[:, :1]).all(axis=1)
     block_colors = table[:, starts]
     if iota is not None:
         ok &= (block_colors == np.asarray(iota)).all(axis=1)

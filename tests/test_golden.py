@@ -66,12 +66,15 @@ def test_stdout_matches_golden(capsys, argv, golden):
     assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
-def test_oracle_verify_max8_digest(capsys):
+@pytest.mark.parametrize("max_n", [8, 9], ids=["max8", "max9"])
+def test_oracle_verify_digest(capsys, max_n):
     """The max-8 sweep builds 3-class tables with n >= 6, which the max-5
-    file never does; its 6306 lines are pinned by their sha256."""
-    assert main(["oracle-verify", "--max-n", "8"]) == 0
+    file never does; its 6306 lines are pinned by their sha256.  The max-9
+    sweep is the one the benchmark's oracle_sweep workload runs."""
+    assert main(["oracle-verify", "--max-n", str(max_n)]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
-    assert digest == (GOLDEN / "oracle_verify_max8.sha256").read_text(encoding="utf-8").strip()
+    golden = GOLDEN / f"oracle_verify_max{max_n}.sha256"
+    assert digest == golden.read_text(encoding="utf-8").strip()
 
 
 @pytest.mark.parametrize("argv, golden", OUT_FILE_CASES, ids=[g for _, g in OUT_FILE_CASES])

@@ -13,6 +13,7 @@ from colorstats import graph as graph_mod
 from colorstats import moments as moments_mod
 from colorstats.coloring import Composition, prob_distinct_colors
 from colorstats.graph import (
+    GraphStats,
     complete,
     cycle,
     path,
@@ -31,6 +32,8 @@ from colorstats.moments import (
     var_common,
     var_Mi,
 )
+from colorstats.oracle import compositions_of, corpus_graphs
+from colorstats.symfun import falling_factorial as ff
 
 compositions = (
     st.lists(st.integers(1, 8), min_size=2, max_size=6)
@@ -119,6 +122,44 @@ class TestCoefficientIdentities:
         mean_m, mean_l = mean_M_L(m, c)
         assert mean_m + mean_l == m
         assert mean_m == sum(mean_Mi(m, c.n, ci) for ci in c.classes)
+
+
+def reference_edge_pair_var(gs, p1, p2, p22):
+    """_edge_pair_var as Fraction arithmetic, term by term."""
+    m = gs.m
+    return (p2 - p22) * gs.sigma2 + (p22 - p1 * p1) * m * m + (p1 - 2 * p2 + p22) * m
+
+
+class TestEdgePairSum:
+    @given(
+        st.integers(0, 10**9),
+        st.integers(0, 10**12),
+        st.lists(st.fractions(0, 1, max_denominator=10**9), min_size=3, max_size=3),
+    )
+    def test_matches_fraction_arithmetic(self, m, sigma2, ps):
+        gs = GraphStats(n=4, m=m, sigma2=sigma2)
+        got = moments_mod._edge_pair_var(gs, *ps)
+        assert type(got) is Fraction
+        assert got == reference_edge_pair_var(gs, *ps)
+
+    def test_variances_match_on_the_corpus(self):
+        graphs = corpus_graphs(max_n=9)
+        for n in range(4, 10):
+            for s in range(2, 6):
+                for parts in compositions_of(n, s):
+                    c = Composition(parts)
+                    e2 = c.elementary(2)
+                    for _, g in graphs:
+                        if g.n != n:
+                            continue
+                        gs = stats(g)
+                        want = reference_edge_pair_var(
+                            gs, Fraction(2 * e2, ff(n, 2)), *coefficients_ab(c)
+                        )
+                        assert var_common(gs, c) == want
+                        for i, ci in enumerate(parts, start=1):
+                            ps = (Fraction(ff(ci, k), ff(n, k)) for k in (2, 3, 4))
+                            assert var_Mi(gs, c, i) == reference_edge_pair_var(gs, *ps)
 
 
 class TestValidation:

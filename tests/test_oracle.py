@@ -4,6 +4,8 @@ import importlib
 import itertools
 import math
 import time
+import tracemalloc
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,11 +15,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from colorstats import oracle
-from colorstats.coloring import Composition, prob_distinct_colors
-from colorstats.graph import Graph, path, stats
+from colorstats.coloring import BATCH_CELLS, Composition, prob_distinct_colors, prob_fixed_colors
+from colorstats.graph import Graph, complete, path, stats
 from colorstats.moments import mean_M_L, var_common
 from colorstats.oracle import (
     BudgetExceededError,
+    ExactDistribution,
     arrangements,
     compositions_of,
     corpus_graphs,
@@ -95,6 +98,68 @@ def reference_table(c):
     return flat.reshape(-1, c.n)
 
 
+def reference_enumerate_colorings(g, c, table):
+    """enumerate_colorings as one boolean scatter-add per edge, tabulated by
+    the same lexsort."""
+    per_color = np.zeros((len(table), c.s), dtype=np.min_scalar_type(g.m))
+    for u, v in zip(g.u.tolist(), g.v.tolist()):
+        cu = table[:, u]
+        same = cu == table[:, v]
+        per_color[same, cu[same] - 1] += 1
+    rows = per_color[np.lexsort(per_color.T[::-1])]
+    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+    freq = np.diff(np.r_[starts, len(rows)])
+    support = dict(zip(map(tuple, rows[starts].tolist()), freq.tolist()))
+    return ExactDistribution(support=support, total=len(table))
+
+
+def reference_exact_moments(dist, m):
+    """exact_moments by a loop over the support and Fraction arithmetic on
+    each first and second moment."""
+    s = len(next(iter(dist.support)))
+    total = dist.total
+    s1 = [0] * s
+    s2 = [[0] * s for _ in range(s)]
+    for outcome, cnt in dist.support.items():
+        for i in range(s):
+            s1[i] += outcome[i] * cnt
+            for j in range(s):
+                s2[i][j] += outcome[i] * outcome[j] * cnt
+    e1 = [Fraction(x, total) for x in s1]
+    cov = tuple(
+        tuple(Fraction(s2[i][j], total) - e1[i] * e1[j] for j in range(s))
+        for i in range(s)
+    )
+    mean_m = sum(e1, start=Fraction(0))
+    var_m = sum((cov[i][j] for i in range(s) for j in range(s)), start=Fraction(0))
+    return oracle.OracleMoments(
+        mean_Mi=tuple(e1),
+        var_Mi=tuple(cov[i][i] for i in range(s)),
+        cov_Mi=cov,
+        mean_M=mean_m,
+        var_M=var_m,
+        mean_L=m - mean_m,
+        var_L=var_m,
+    )
+
+
+def _reference_cells():
+    """Every corpus cell of the max-9 sweep, 4- and 5-class compositions on
+    the corpus graphs of orders 5..8, and edgeless graphs."""
+    graphs = corpus_graphs(max_n=9)
+    for n in range(4, 10):
+        for s in (2, 3, 4, 5):
+            if s > 3 and not 5 <= n <= 8:
+                continue
+            for parts in compositions_of(n, s):
+                c = Composition(parts)
+                table = arrangements(c)
+                for _, g in graphs:
+                    if g.n == n:
+                        yield g, c, table
+                yield Graph.from_edges(n, []), c, table
+
+
 @st.composite
 def graph_and_composition(draw):
     n = draw(st.integers(2, 7))
@@ -131,12 +196,78 @@ class TestArrangements:
         assert dist.total == sum(want.values())
 
 
+class TestAgainstReferences:
+    def test_laws_and_moments_match(self):
+        cells = 0
+        for g, c, table in _reference_cells():
+            dist = enumerate_colorings(g, c, table)
+            want = reference_enumerate_colorings(g, c, table)
+            # the same outcomes and counts, in the same key order
+            assert list(dist.support.items()) == list(want.support.items())
+            assert dist.total == want.total
+            got_m, want_m = exact_moments(dist, g.m), reference_exact_moments(want, g.m)
+            for f in fields(got_m):
+                got, ref = getattr(got_m, f.name), getattr(want_m, f.name)
+                assert got == ref and type(got) is type(ref), (g, c, f.name)
+            for row in got_m.cov_Mi:
+                assert all(type(x) is Fraction for x in row)
+            cells += 1
+        assert cells > 1500
+
+
+class TestTableCheck:
+    def test_other_composition_refused(self):
+        # a (3, 1) table read as (2, 2): the law had total 4 and the event 1/2
+        c, wrong = Composition((2, 2)), arrangements(Composition((3, 1)))
+        with pytest.raises(ValueError, match="not an arrangement table of classes"):
+            enumerate_colorings(path(4), c, wrong)
+        with pytest.raises(ValueError, match="not an arrangement table of classes"):
+            event_frequency(c, wrong, (2,))
+
+    def test_same_shape_other_counts_refused(self):
+        c, wrong = Composition((2, 1, 1)), arrangements(Composition((1, 2, 1)))
+        assert wrong.shape == (total_colorings(c), c.n)
+        with pytest.raises(ValueError, match="not an arrangement table"):
+            enumerate_colorings(path(4), c, wrong)
+        with pytest.raises(ValueError, match="not an arrangement table"):
+            event_frequency(c, wrong, (1, 1), iota=(2, 3))
+
+    def test_permuted_columns_accepted(self):
+        # the rows of a column-permuted table are every coloring once more
+        c = Composition((3, 2, 2))
+        table = arrangements(c)
+        g = path(7)
+        got = enumerate_colorings(g, c, table[:, [6, 2, 0, 5, 1, 3, 4]])
+        want = enumerate_colorings(g, c, table)
+        assert list(got.support.items()) == list(want.support.items())
+
+
 class TestExactDistribution:
     def test_path3_distribution(self):
         c = Composition((2, 1))
         dist = enumerate_colorings(path(3), c, arrangements(c))
         assert dist.total == 3
         assert dist.support == {(1, 0): 2, (0, 0): 1}
+
+    def test_memory_is_the_counts_and_a_few_chunks(self):
+        # 252,252 rows x 91 edges: a gather of every (row, edge) cell at once
+        # would hold about 23 MB per array
+        c = Composition((5, 5, 4))
+        table = arrangements(c)
+        g = complete(14)
+        tracemalloc.start()
+        try:
+            dist = enumerate_colorings(g, c, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dist.total == len(table)
+        rows = len(table)
+        # the uint8 counts and, for the tabulation, a sorted copy of them and
+        # the lexsort permutation; each chunk holds at most five arrays of
+        # BATCH_CELLS bytes (both gathers, the equality, the color mask and
+        # their conjunction)
+        assert peak < 2 * rows * c.s + 8 * rows + 5 * BATCH_CELLS + (1 << 20)
 
     def test_path3_moments(self):
         c = Composition((2, 1))
@@ -192,6 +323,17 @@ class TestEventFrequency:
             event_frequency(c, arrangements(c), (2, 1), iota=(1,))
         with pytest.raises(ValueError, match="do not fit"):
             event_frequency(c, arrangements(c), (5, 1))
+
+    @pytest.mark.parametrize(
+        "sizes, iota", [((2,), (7,)), ((2,), (0,)), ((1, 1), (2, 2)), ((2, 1), (1,))]
+    )
+    def test_iota_checked_like_the_formula(self, sizes, iota):
+        c = Composition((2, 2, 1))
+        with pytest.raises(ValueError) as want:
+            prob_fixed_colors(c, sizes, iota)
+        with pytest.raises(ValueError) as got:
+            event_frequency(c, arrangements(c), sizes, iota=iota)
+        assert str(got.value) == str(want.value)
 
 
 class TestCompositionsOf:
