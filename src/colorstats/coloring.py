@@ -4,9 +4,9 @@ A coloring of n vertices with s color classes of sizes (c_1, ..., c_s) is a
 uniform draw from all arrangements of the multiset containing c_i copies of
 color i.  Colors are numbered 1..s.  This module provides the composition
 type, exact probabilities of block events (disjoint vertex blocks each
-monochromatic, in given colors or in pairwise distinct ones; the oracle
-checks them by enumeration), and samplers (single draw and a vectorized
-batch used by the Monte Carlo harnesses).
+monochromatic, in given, any or pairwise distinct colors; the oracle checks
+them by enumeration), and samplers (single draw and a vectorized batch
+used by the Monte Carlo harnesses).
 
 The batch sampler shuffles its rows a block at a time in one reusable
 np.intp buffer and copies each block into the narrow int8/int16/int32
@@ -18,6 +18,10 @@ gives the same colorings as a shuffle of the narrow matrix itself.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +30,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .graph import Graph
-from .symfun import elementary_symmetric, falling_factorial
+from .symfun import falling_factorial
 
 # cells (edges x rows) per count_batch comparison buffer
 BATCH_CELLS = 1 << 22
@@ -100,10 +104,6 @@ class Composition:
         """Class proportions c_i / n as exact fractions."""
         n = self.n
         return tuple(Fraction(c, n) for c in self.classes)
-
-    def elementary(self, k: int) -> int:
-        """e_k of the class sizes."""
-        return elementary_symmetric(self.classes, k)
 
 
 def sample(c: Composition, rng: np.random.Generator) -> np.ndarray:
@@ -195,26 +195,36 @@ def prob_fixed_colors(
     return Fraction(num, falling_factorial(c.n, total))
 
 
-def prob_distinct_colors(c: Composition, sizes: Sequence[int]) -> Fraction:
-    """P(each block is monochromatic and the blocks get pairwise distinct colors).
+@functools.lru_cache
+def prob_mono_blocks(c: Composition, sizes: tuple[int, ...], distinct: bool = False) -> Fraction:
+    """P(every block is monochromatic) for disjoint blocks of the given sizes
+    (a tuple), in pairwise distinct colors if `distinct`.
 
-    The sum of prob_fixed_colors over all injections of blocks into colors,
-    taken color by color: each color stays unused or takes one still-open
-    block, and the state is the number of open blocks of each size.  A color
-    of c_i vertices that takes one of r open blocks of size b contributes a
-    factor r * (c_i)_b.  Exact for any block sizes and any s; the work grows
-    with s times the number of states.
-    """
+    One sum color by color over the count r_b of open blocks of each size b:
+    a color of c_i vertices taking t_b of them for each b (one block at most
+    if `distinct`) adds a factor prod C(r_b, t_b) (c_i)_(sum t_b b)."""
     total = _validate_sizes(c, sizes)
     kinds = Counter(sizes)
     # ways[open] sums the numerators over the colors so far, by open blocks per size
     ways = {tuple(kinds.values()): 1}
+    moves = {}  # open blocks -> (open blocks after, ways to pick the blocks, vertices used)
     for ci in c.classes:
-        nxt = dict(ways)
+        nxt = dict(ways)  # the color takes no block
         for open_, w in ways.items():
-            for j, (b, r) in enumerate(zip(kinds, open_)):
-                if r:
-                    key = open_[:j] + (r - 1,) + open_[j + 1 :]
-                    nxt[key] = nxt.get(key, 0) + w * r * falling_factorial(ci, b)
+            if open_ not in moves:
+                takes = itertools.product(*(range(r + 1) for r in open_))
+                moves[open_] = [
+                    (tuple(map(operator.sub, open_, t)), math.prod(map(math.comb, open_, t)),
+                     sum(map(operator.mul, t, kinds)))
+                    for t in takes if any(t) and (not distinct or sum(t) == 1)
+                ]
+            for key, picks, used in moves[open_]:
+                if used <= ci:
+                    nxt[key] = nxt.get(key, 0) + w * picks * falling_factorial(ci, used)
         ways = nxt
     return Fraction(ways.get((0,) * len(kinds), 0), falling_factorial(c.n, total))
+
+
+def prob_distinct_colors(c: Composition, sizes: Sequence[int]) -> Fraction:
+    """P(each block is monochromatic and the blocks get pairwise distinct colors)."""
+    return prob_mono_blocks(c, tuple(sizes), distinct=True)

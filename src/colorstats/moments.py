@@ -4,11 +4,12 @@ For a graph G with m edges and a composition (c_1, ..., c_s) of its vertex
 count, M_i is the number of edges whose endpoints both receive color i,
 M is their total, and L = m - M is the bichromatic count.  The formulas
 below give exact means and variances in terms of m, the degree second
-moment, and falling factorials / elementary symmetric polynomials of the
-class sizes; both variances come from one sum over ordered pairs of edges.
-Rational arithmetic is authoritative.
+moment and block probabilities: P(2) that one edge is monochromatic, P(3)
+that two edges sharing a vertex both are, and P(2,2) that two disjoint
+edges both are (coloring.prob_mono_blocks).  Both variances come from one
+sum over ordered pairs of edges.  Rational arithmetic is authoritative.
 
-Variance formulas divide by the falling factorial of n over 4 entries and
+Variance formulas need the four vertices of two disjoint edges and
 therefore require n >= 4; for n in {2, 3} use the exhaustive distribution
 in the oracle module instead.
 """
@@ -21,12 +22,17 @@ from collections.abc import Iterable
 from dataclasses import Field, dataclass, fields
 from fractions import Fraction
 
-from .coloring import Composition, imbalance
+from .coloring import Composition, imbalance, prob_mono_blocks
 from .graph import Graph, GraphStats, stats
 from .symfun import falling_factorial as ff
 
+# blocks of one edge, of two edges sharing a vertex, of two disjoint edges
+_PAIR_BLOCKS = ((2,), (3,), (2, 2))
 
-def _require_n4(n: int, what: str) -> None:
+
+def _require_cell(n: int, c: Composition, what: str) -> None:
+    if c.n != n:
+        raise ValueError(f"composition covers {c.n} vertices but graph has {n}")
     if n < 4:
         raise ValueError(
             f"{what} requires n >= 4 (degree-4 falling factorial vanishes); "
@@ -36,8 +42,8 @@ def _require_n4(n: int, what: str) -> None:
 
 def mean_Mi(m: int, n: int, c_i: int) -> Fraction:
     """E[M_i] = m * (c_i)_2 / (n)_2."""
-    if n < 2:
-        raise ValueError(f"mean_Mi needs n >= 2, got n={n}")
+    if n < 2 or not 0 <= c_i <= n:
+        raise ValueError(f"mean_Mi needs n >= 2 and 0 <= c_i <= n, got n={n}, c_i={c_i}")
     return Fraction(m * ff(c_i, 2), ff(n, 2))
 
 
@@ -64,49 +70,32 @@ def _edge_pair_var(st: GraphStats, p1: Fraction, p2: Fraction, p22: Fraction) ->
 
 def var_Mi(st: GraphStats, c: Composition, color: int) -> Fraction:
     """Var[M_i] for color i (1-based), from the graph's (m, sigma2) summary."""
-    n = st.n
-    _require_n4(n, "var_Mi")
-    if c.n != n:
-        raise ValueError(f"composition covers {c.n} vertices but graph has {n}")
+    _require_cell(st.n, c, "var_Mi")
     if not (1 <= color <= c.s):
         raise ValueError(f"color must lie in 1..{c.s}, got {color}")
     ci = c.classes[color - 1]
-    return _edge_pair_var(st, *(Fraction(ff(ci, k), ff(n, k)) for k in (2, 3, 4)))
+    return _edge_pair_var(st, *(Fraction(ff(ci, k), ff(c.n, k)) for k in (2, 3, 4)))
 
 
 def coefficients_ab(c: Composition) -> tuple[Fraction, Fraction]:
-    """The pair (a, b) entering Var[L] = (a-b)*sigma2 + ... for composition c.
-
-    a is the probability that one fixed edge plus one fixed extra vertex
-    are bichromatic in every pair; b plays the same role for two disjoint
-    fixed edges.  Both are rational functions of the elementary symmetric
-    polynomials e_2, e_3 of the class sizes.
-    """
-    n = c.n
-    _require_n4(n, "coefficients_ab")
-    e2, e3 = c.elementary(2), c.elementary(3)
-    a = Fraction(e2, ff(n, 2)) + Fraction(3 * e3, ff(n, 3))
-    b = Fraction(4, ff(n, 4)) * (e2 * e2 - (n - 1) * e2 - 3 * e3)
-    return a, b
+    """(a, b) = (1 - 2 P(2) + P(3), 1 - 2 P(2) + P(2,2)): the chances that
+    two edges sharing a vertex, and two disjoint edges, are both
+    bichromatic."""
+    _require_cell(c.n, c, "coefficients_ab")
+    p2, p3, p22 = (prob_mono_blocks(c, k) for k in _PAIR_BLOCKS)
+    return 1 - 2 * p2 + p3, 1 - 2 * p2 + p22
 
 
 def mean_M_L(m: int, c: Composition) -> tuple[Fraction, Fraction]:
-    """(E[M], E[L]); they sum to m exactly."""
-    n = c.n
-    if n < 2:
-        raise ValueError(f"mean_M_L needs n >= 2, got n={n}")
-    mean_l = Fraction(2 * m * c.elementary(2), ff(n, 2))
-    return m - mean_l, mean_l
+    """(E[M], E[L]) = (m P(2), m - m P(2)); they sum to m exactly."""
+    mean_m = m * prob_mono_blocks(c, (2,))
+    return mean_m, m - mean_m
 
 
 def var_common(st: GraphStats, c: Composition) -> Fraction:
     """Common variance of M and of L (they differ by the constant m)."""
-    n = st.n
-    _require_n4(n, "var_common")
-    if c.n != n:
-        raise ValueError(f"composition covers {c.n} vertices but graph has {n}")
-    a, b = coefficients_ab(c)
-    return _edge_pair_var(st, Fraction(2 * c.elementary(2), ff(n, 2)), a, b)
+    _require_cell(st.n, c, "var_common")
+    return _edge_pair_var(st, *(prob_mono_blocks(c, k) for k in _PAIR_BLOCKS))
 
 
 def rho(c: Composition) -> Fraction:
@@ -218,9 +207,7 @@ def full_report(g: Graph, c: Composition) -> MomentReport:
 
     Requires n >= 4 (variance formulas) and m >= 1 (normalization by m^2).
     """
-    if g.n != c.n:
-        raise ValueError(f"composition covers {c.n} vertices but graph has {g.n}")
-    _require_n4(g.n, "full_report")
+    _require_cell(g.n, c, "full_report")
     if g.m == 0:
         raise ValueError("full_report needs at least one edge")
     st = stats(g)

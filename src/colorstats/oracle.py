@@ -15,8 +15,8 @@ coloring.BATCH_CELLS (row, edge) cells at a time, and counts each color's
 monochromatic edges per row.  The moments are integer power sums over the
 law's support, and each moment is one Fraction built from them.
 
-A table has n! / (c_1! ... c_s!) rows, so its row count is capped by an
-explicit budget (default 10^7), which bounds memory as well as time.
+A table has n! / (c_1! ... c_s!) rows of n cells; an explicit budget
+(default 10^7) caps the rows, and 32 times it caps the cells.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def total_colorings(c: Composition) -> int:
 
 
 def _check_budget(c: Composition, budget: int) -> int:
-    """total_colorings(c); BudgetExceededError if it is over the budget.
+    """total_colorings(c); BudgetExceededError if it or its cells / 32 exceed the budget.
 
     A total more than e^1000 times the budget is refused from its lgamma
     logarithm, before the exact count, which for a balanced composition
@@ -75,6 +75,8 @@ def _check_budget(c: Composition, budget: int) -> int:
     total = total_colorings(c)
     if total > budget:
         raise BudgetExceededError(f"enumeration would visit {total} colorings, budget is {budget}")
+    if total * c.n > 32 * budget:
+        raise BudgetExceededError(f"table of {total} x {c.n} cells exceeds 32 x budget {budget}")
     return total
 
 

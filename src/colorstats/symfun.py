@@ -1,9 +1,9 @@
 """Exact symmetric-function primitives over integer vectors.
 
 Everything here is plain Python integer arithmetic, so results are exact for
-arbitrarily large inputs.  These are the building blocks for the closed-form
-moment formulas: falling factorials, elementary symmetric polynomials and
-power sums.
+arbitrarily large inputs.  Falling factorials build the block probabilities
+behind the closed-form moments; elementary symmetric polynomials and power
+sums give the tests independent closed forms.
 """
 
 from __future__ import annotations

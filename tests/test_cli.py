@@ -42,6 +42,35 @@ def test_every_traced_name_resolves(monkeypatch):
     assert unresolved == [] and len(tracer.TARGETS) >= 38
 
 
+# the standard-library modules `import colorstats` adds after `import numpy`;
+# the benchmark's setup_s times this import, so a new one must be deliberate
+IMPORTED_STDLIB = set(
+    "__future__ _csv _decimal _heapq _json _queue _string concurrent"
+    " concurrent.futures concurrent.futures._base concurrent.futures.thread"
+    " copy csv dataclasses decimal fractions heapq json json.decoder"
+    " json.encoder json.scanner logging queue string traceback".split()
+)
+
+
+def test_import_adds_only_pinned_modules():
+    probe = (
+        "import sys\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
+        "import colorstats\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True,
+    )
+    added = proc.stdout.split()
+    assert "colorstats.coloring" in added
+    extra = [m for m in added if m.partition(".")[0] != "colorstats" and m not in IMPORTED_STDLIB]
+    assert extra == []
+
+
 def test_benchmark_graph_count_pin(monkeypatch, tmp_path, capsys):
     # the benchmark's graphs_per_s divides this fixed count by the wall time;
     # a change that draws more or fewer graphs must fail here

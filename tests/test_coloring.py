@@ -18,13 +18,14 @@ from colorstats.coloring import (
     imbalance,
     prob_distinct_colors,
     prob_fixed_colors,
+    prob_mono_blocks,
     sample,
     sample_batch,
 )
 from colorstats.graph import Graph, path
-from colorstats.oracle import compositions_of, total_colorings
+from colorstats.oracle import arrangements, compositions_of, total_colorings
 from colorstats.seeds import stream
-from colorstats.symfun import falling_factorial
+from colorstats.symfun import elementary_symmetric, falling_factorial
 
 
 @dataclass(frozen=True)
@@ -129,10 +130,9 @@ class TestComposition:
     def test_from_ratios_zero_bumped(self):
         assert Composition.from_ratios(4, (1, 1000)).classes == (1, 3)
 
-    def test_gamma_and_elementary(self):
+    def test_gamma(self):
         c = Composition((3, 1))
         assert c.gamma() == (Fraction(3, 4), Fraction(1, 4))
-        assert c.elementary(2) == 3
 
 
 class TestSampling:
@@ -282,7 +282,7 @@ class TestEventProbabilities:
         # e2/e3/e4 expression
         for parts in [(2, 2), (3, 2), (4, 4), (2, 2, 2), (3, 2, 2), (5, 1, 3)]:
             c = Composition(parts)
-            e1, e2, e3, e4 = (c.elementary(k) for k in (1, 2, 3, 4))
+            e1, e2, e3, e4 = (elementary_symmetric(parts, k) for k in (1, 2, 3, 4))
             explicit = Fraction(
                 2 * (e2 * (e2 - e1 + 1) - e3 * (2 * e1 - 3) + 2 * e4),
                 falling_factorial(c.n, 4),
@@ -306,6 +306,52 @@ class TestEventProbabilities:
                     continue
                 p = prob_distinct_colors(c, sizes)
                 assert 0 <= p <= 1
+
+
+def block_shapes(n: int, most: int = 4) -> Iterator[tuple[int, ...]]:
+    """Every multiset of at most `most` block sizes with total <= n, as a
+    non-increasing tuple."""
+    def parts(left, cap, k):
+        for a in range(min(left, cap), 0, -1):
+            yield (a,)
+            if k > 1:
+                yield from ((a, *rest) for rest in parts(left - a, a, k - 1))
+    return parts(n, n, most)
+
+
+class TestMonoBlocks:
+    """prob_mono_blocks against the row frequency of its event in the
+    arrangement table: blocks are consecutive vertex ranges."""
+
+    def test_matches_enumeration(self):
+        checked = 0
+        for n in range(2, 9):
+            for s in range(2, min(n, 4) + 1):
+                for parts in compositions_of(n, s):
+                    c = Composition(parts)
+                    table = arrangements(c)
+                    # rows whose columns lo..hi-1 share one color, per (lo, hi)
+                    same = {
+                        (lo, hi): (table[:, lo:hi] == table[:, lo : lo + 1]).all(axis=1)
+                        for lo in range(n) for hi in range(lo + 1, n + 1)
+                    }
+                    for sizes in block_shapes(n):
+                        starts = list(itertools.accumulate(sizes, initial=0))
+                        mono = np.logical_and.reduce([same[b] for b in itertools.pairwise(starts)])
+                        colors = np.sort(table[:, starts[:-1]], axis=1)
+                        distinct = mono & (colors[:, 1:] != colors[:, :-1]).all(axis=1)
+                        for flag, rows in ((False, mono), (True, distinct)):
+                            want = Fraction(int(rows.sum()), len(table))
+                            assert prob_mono_blocks(c, sizes, flag) == want, (parts, sizes, flag)
+                        checked += 1
+        assert checked == 5779
+
+    def test_block_order_and_trivial_blocks(self):
+        c = Composition((4, 3, 2))
+        assert prob_mono_blocks(c, (3, 1, 2)) == prob_mono_blocks(c, (1, 2, 3))
+        # with s >= 2 no class holds every vertex; a single vertex is always monochromatic
+        assert prob_mono_blocks(c, (9,)) == 0
+        assert prob_mono_blocks(c, (1, 1)) == 1
 
 
 class TestImbalance:

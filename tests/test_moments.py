@@ -33,6 +33,7 @@ from colorstats.moments import (
     var_Mi,
 )
 from colorstats.oracle import compositions_of, corpus_graphs
+from colorstats.symfun import elementary_symmetric
 from colorstats.symfun import falling_factorial as ff
 
 compositions = (
@@ -130,6 +131,15 @@ def reference_edge_pair_var(gs, p1, p2, p22):
     return (p2 - p22) * gs.sigma2 + (p22 - p1 * p1) * m * m + (p1 - 2 * p2 + p22) * m
 
 
+def reference_coefficients_ab(c):
+    """(a, b) from e_2 and e_3 of the class sizes, as closed forms."""
+    n = c.n
+    e2, e3 = (elementary_symmetric(c.classes, k) for k in (2, 3))
+    a = Fraction(e2, ff(n, 2)) + Fraction(3 * e3, ff(n, 3))
+    b = Fraction(4, ff(n, 4)) * (e2 * e2 - (n - 1) * e2 - 3 * e3)
+    return a, b
+
+
 class TestEdgePairSum:
     @given(
         st.integers(0, 10**9),
@@ -148,15 +158,16 @@ class TestEdgePairSum:
             for s in range(2, 6):
                 for parts in compositions_of(n, s):
                     c = Composition(parts)
-                    e2 = c.elementary(2)
+                    e2 = elementary_symmetric(parts, 2)
+                    p_bi = Fraction(2 * e2, ff(n, 2))  # one edge bichromatic
+                    a, b = reference_coefficients_ab(c)
+                    assert coefficients_ab(c) == (a, b)
                     for _, g in graphs:
                         if g.n != n:
                             continue
                         gs = stats(g)
-                        want = reference_edge_pair_var(
-                            gs, Fraction(2 * e2, ff(n, 2)), *coefficients_ab(c)
-                        )
-                        assert var_common(gs, c) == want
+                        assert mean_M_L(g.m, c) == (g.m - g.m * p_bi, g.m * p_bi)
+                        assert var_common(gs, c) == reference_edge_pair_var(gs, p_bi, a, b)
                         for i, ci in enumerate(parts, start=1):
                             ps = (Fraction(ff(ci, k), ff(n, k)) for k in (2, 3, 4))
                             assert var_Mi(gs, c, i) == reference_edge_pair_var(gs, *ps)
@@ -178,6 +189,13 @@ class TestValidation:
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="covers"):
             var_common(stats(path(5)), Composition((2, 2)))
+
+    def test_class_size_out_of_range(self):
+        assert mean_Mi(3, 4, 4) == 3
+        assert mean_Mi(3, 4, 0) == 0
+        for ci in (-1, 5, 7):
+            with pytest.raises(ValueError, match="0 <= c_i <= n, got n=4"):
+                mean_Mi(3, 4, ci)
 
     def test_color_out_of_range(self):
         with pytest.raises(ValueError, match="1..2"):

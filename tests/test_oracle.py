@@ -80,6 +80,18 @@ class TestTotals:
         assert total_colorings(Composition((10**6 - 1, 1))) == 10**6
         assert time.perf_counter() - t0 < 1.0
 
+    def test_table_bytes_budgeted(self, monkeypatch):
+        # 10^5 rows pass the row budget, but the table would be 10^5 x 10^5
+        # cells (9.3 GiB); it is refused before anything is allocated
+        def refuse(*args, **kwargs):
+            raise AssertionError("a table was allocated past the budget")
+
+        monkeypatch.setattr(np, "empty", refuse)
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match=r"table of 100000 x 100000 cells exceeds 32 x budget 10000000"):
+            arrangements(Composition((99999, 1)))
+        assert time.perf_counter() - t0 < 0.1
+
     def test_size_mismatch(self):
         c = Composition((2, 1))
         with pytest.raises(ValueError, match="covers"):
