@@ -8,12 +8,18 @@ monochromatic, in given, any or pairwise distinct colors; the oracle checks
 them by enumeration), and samplers (single draw and a vectorized batch
 used by the Monte Carlo harnesses).
 
-The batch sampler shuffles its rows a block at a time in one reusable
-np.intp buffer and copies each block into the narrow int8/int16/int32
-result.  numpy's Fisher-Yates loop swaps items of sizeof(npy_intp) bytes
-directly and items of any other size by a byte copy, so the wide buffer is
-faster.  The random draws do not depend on the item size, so a fixed seed
-gives the same colorings as a shuffle of the narrow matrix itself.
+The batch sampler has two exact paths, cut at SHUFFLE_CELLS vertices.
+Narrower rows are shuffled a block at a time in one reusable np.intp
+buffer and copied into the narrow int8/int16/int32 result: numpy's
+Fisher-Yates loop swaps items of sizeof(npy_intp) bytes directly and
+items of any other size by a byte copy, and the draws do not depend on
+the item size, so a fixed seed gives the colorings of a shuffle of the
+narrow matrix itself.  A row of at least SHUFFLE_CELLS vertices is filled
+with the color of the first largest class, and the k = n - c_max other
+colors go, in class order, to rng.choice(n, k, replace=False): a uniformly
+random ordered sample of k distinct positions, drawn in about k steps by a
+partial shuffle (Durstenfeld 1964) instead of n.  A batch of more than
+MAX_SAMPLE_BYTES bytes is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -35,7 +41,11 @@ from .symfun import falling_factorial
 # cells (edges x rows) per count_batch comparison buffer
 BATCH_CELLS = 1 << 22
 
-# cells (rows x n) of the np.intp buffer that sample_batch shuffles
+# bytes (trials x n x itemsize) of the largest coloring matrix sample_batch builds
+MAX_SAMPLE_BYTES = 1 << 30
+
+# cells (rows x n) of the np.intp buffer that sample_batch shuffles; rows of
+# at least this many vertices are placed by rng.choice instead
 SHUFFLE_CELLS = 1 << 16
 
 
@@ -116,13 +126,30 @@ def sample(c: Composition, rng: np.random.Generator) -> np.ndarray:
 def sample_batch(c: Composition, trials: int, rng: np.random.Generator) -> np.ndarray:
     """(trials, n) array of independent uniform colorings, one per row.
 
-    Rows are shuffled in order, about SHUFFLE_CELLS cells at a time, in one
-    np.intp buffer; the result equals a shuffle of the narrow matrix whole.
+    Rows narrower than SHUFFLE_CELLS are shuffled in order, about
+    SHUFFLE_CELLS cells at a time, in one np.intp buffer; the result equals
+    a shuffle of the narrow matrix whole.  Wider rows hold the color of the
+    first largest class except at rng.choice(n, k, replace=False), which
+    takes the other k colors in class order.  More than MAX_SAMPLE_BYTES
+    bytes of result is refused.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     dtype = np.int8 if c.s <= 127 else np.int16 if c.s <= 32767 else np.int32
-    base = np.repeat(np.arange(1, c.s + 1, dtype=dtype), c.classes)
+    if trials * c.n * np.dtype(dtype).itemsize > MAX_SAMPLE_BYTES:
+        raise ValueError(
+            f"{trials} trials x n={c.n} colorings exceed the "
+            f"{MAX_SAMPLE_BYTES}-byte limit of one coloring matrix"
+        )
+    colors = np.arange(1, c.s + 1, dtype=dtype)
+    if c.n >= SHUFFLE_CELLS:
+        big = c.classes.index(max(c.classes))
+        rest = np.repeat(np.delete(colors, big), np.delete(c.classes, big))
+        out = np.full((trials, c.n), colors[big], dtype=dtype)
+        for row in out:
+            row[rng.choice(c.n, len(rest), replace=False)] = rest
+        return out
+    base = np.repeat(colors, c.classes)
     out = np.empty((trials, len(base)), dtype=dtype)
     # numpy swaps items of sizeof(npy_intp) bytes directly, any other size by a byte copy
     buf = np.empty((min(trials, max(1, SHUFFLE_CELLS // len(base))), len(base)), dtype=np.intp)
@@ -140,13 +167,16 @@ def count_batch(g: Graph, colors: np.ndarray) -> np.ndarray:
     The matrix is copied once as (n, trials), one row of colors per vertex;
     edges are then compared in chunks of about BATCH_CELLS (edge, trial)
     cells, so beyond that copy memory stays near 3 * BATCH_CELLS bytes for
-    int8 colors, however large m is.
+    int8 colors, however large m is.  A chunk has at most BATCH_CELLS edges,
+    so its per-row sum fits int32.
     """
     by_vertex = np.ascontiguousarray(colors.T)
     out = np.zeros(colors.shape[0], dtype=np.int64)
     step = max(1, BATCH_CELLS // max(1, colors.shape[0]))
     for lo in range(0, g.m, step):
-        out += (by_vertex[g.u[lo : lo + step]] == by_vertex[g.v[lo : lo + step]]).sum(axis=0)
+        out += (by_vertex[g.u[lo : lo + step]] == by_vertex[g.v[lo : lo + step]]).sum(
+            axis=0, dtype=np.int32
+        )
     return out
 
 

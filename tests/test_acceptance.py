@@ -230,14 +230,16 @@ def test_criterion_09b_edge_count_variance_config():
 def test_criterion_10_reproducibility(tmp_path, capsys, monkeypatch):
     """Fixed-seed CLI runs are byte-identical across invocations and
     across worker thread counts (flag or environment)."""
-    sim = [
-        "simulate", "--graph", "cycle:12", "--classes", "balanced:3",
-        "--trials", "2000", "--seed", "11",
-    ]
-    assert cli_main(sim) == 0
-    first = capsys.readouterr().out
-    assert cli_main(sim) == 0
-    assert capsys.readouterr().out == first
+    # a narrow graph, and one wide enough for rows placed by rng.choice
+    for graph, trials in [("cycle:12", "2000"), ("circulant:n=70000,d=2", "20")]:
+        sim = [
+            "simulate", "--graph", graph, "--classes", "balanced:3",
+            "--trials", trials, "--seed", "11",
+        ]
+        assert cli_main(sim) == 0
+        first = capsys.readouterr().out
+        assert cli_main(sim) == 0
+        assert capsys.readouterr().out == first
 
     base = [
         "regime", "--family", "gnp:p=8/n", "--classes", "balanced:2",

@@ -439,6 +439,16 @@ class TestSimulate:
         assert code == 1
         assert "4-SE" in err
 
+    def test_matrix_past_byte_limit_exits_2(self, capsys):
+        # 10^5 trials x 10^5 int8 colors would be a 10 GB matrix
+        code, out, err = run(
+            capsys,
+            "simulate", "--graph", "cycle:100000", "--classes", "balanced:2",
+            "--trials", "100000", "--seed", "1",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: 100000 trials x n=100000 colorings exceed the 1073741824-byte limit of one coloring matrix\n"
+
     def test_deterministic_output(self, capsys):
         args = (
             "simulate", "--graph", "cycle:12", "--classes", "balanced:3",

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 import tracemalloc
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -92,8 +93,23 @@ def reference_sample_batch(c: Composition, trials: int, rng: np.random.Generator
     return mat
 
 
-# (composition, trials): short last blocks, one row per block past
-# SHUFFLE_CELLS, a single row, and each result dtype
+def reference_wide_sample_batch(c: Composition, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """sample_batch for rows of at least SHUFFLE_CELLS vertices: the color
+    of the first largest class everywhere, then the other colors, in class
+    order, at one rng.choice placement of distinct positions per row."""
+    dtype = np.int8 if c.s <= 127 else np.int16 if c.s <= 32767 else np.int32
+    big = min(range(c.s), key=lambda i: (-c.classes[i], i))
+    rest = [i + 1 for i, ci in enumerate(c.classes) if i != big for _ in range(ci)]
+    mat = np.full((trials, c.n), big + 1, dtype=dtype)
+    for t in range(trials):
+        mat[t, rng.choice(c.n, len(rest), replace=False)] = rest
+    return mat
+
+
+# (composition, trials): short last blocks, rows past SHUFFLE_CELLS, a
+# single row, each result dtype, and (last two) wide rows whose largest
+# class is not the first, placed by numpy's tail shuffle and by Floyd's
+# algorithm
 BATCH_SHAPES = [
     (Composition.balanced(100, 3), 1000),
     (Composition.balanced(40, 3), 3),
@@ -102,6 +118,8 @@ BATCH_SHAPES = [
     (Composition((6, 5)), 7000),
     (Composition.balanced(1000, 200), 70),
     (Composition.balanced(40_000, 40_000), 2),
+    (Composition((20_000, 50_000, 30_000, 50_000)), 2),
+    (Composition((1_000, 99_000)), 3),
 ]
 
 
@@ -159,8 +177,10 @@ class TestSampling:
 
     @pytest.mark.parametrize("c, trials", BATCH_SHAPES)
     def test_batch_matches_reference(self, c, trials):
+        # narrow rows: the permuted matrix; rows past the cut: one placement per row
+        reference = reference_wide_sample_batch if c.n >= coloring.SHUFFLE_CELLS else reference_sample_batch
         rng, ref_rng = stream(8), stream(8)
-        got, want = sample_batch(c, trials, rng), reference_sample_batch(c, trials, ref_rng)
+        got, want = sample_batch(c, trials, rng), reference(c, trials, ref_rng)
         assert got.dtype == want.dtype and got.flags.c_contiguous
         assert np.array_equal(got, want)
         assert rng.random() == ref_rng.random()  # the same draws were consumed
@@ -175,10 +195,37 @@ class TestSampling:
             tracemalloc.stop()
         assert peak < out.nbytes + 8 * max(coloring.SHUFFLE_CELLS, c.n) + (1 << 20)
 
-    def test_uniform_over_all_colorings(self):
+    def test_batch_refused_above_byte_limit(self, monkeypatch):
+        # 10^5 trials of 10^5 int8 colors are 10^10 bytes, past the 2^30 limit
+        def refuse(*args, **kwargs):
+            raise AssertionError("a coloring matrix was allocated past the limit")
+
+        monkeypatch.setattr(np, "empty", refuse)
+        monkeypatch.setattr(np, "full", refuse)
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=r"100000 trials x n=100000 colorings exceed the 1073741824-byte limit"):
+            sample_batch(Composition.balanced(100_000, 2), 100_000, stream(1))
+        assert time.perf_counter() - t0 < 0.1
+
+    def test_batch_at_the_byte_limit(self, monkeypatch):
+        # a matrix of exactly MAX_SAMPLE_BYTES is built, one row more is refused
+        monkeypatch.setattr(coloring, "MAX_SAMPLE_BYTES", 3 * 100)
+        c = Composition.balanced(100, 3)
+        assert sample_batch(c, 3, stream(2)).nbytes == 300
+        with pytest.raises(ValueError, match="300-byte limit"):
+            sample_batch(c, 4, stream(2))
+
+    def test_uniform_over_all_colorings(self, monkeypatch):
         """Chi-square goodness of fit at the 1e-3 level, every composition
-        of every n <= 6, 1e5 samples each."""
-        trials = 100_000
+        of every n <= 6: 1e5 samples each through the block shuffle, then
+        8e3 each with SHUFFLE_CELLS at 1, so every row is placed by
+        rng.choice."""
+        for cut, trials in [(coloring.SHUFFLE_CELLS, 100_000), (1, 8_000)]:
+            monkeypatch.setattr(coloring, "SHUFFLE_CELLS", cut)
+            self._check_uniform(trials)
+
+    @staticmethod
+    def _check_uniform(trials: int) -> None:
         cell = 0
         for n in range(2, 7):
             for s in range(2, n + 1):
