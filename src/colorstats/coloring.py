@@ -20,6 +20,12 @@ colors go, in class order, to rng.choice(n, k, replace=False): a uniformly
 random ordered sample of k distinct positions, drawn in about k steps by a
 partial shuffle (Durstenfeld 1964) instead of n.  A batch of more than
 MAX_SAMPLE_BYTES bytes is refused before anything is allocated.
+
+The Monte Carlo harnesses read only the monochromatic edge count of each
+coloring, so sample_counts draws and counts a block of rows at a time
+instead of building the whole matrix.  Both sampler paths draw row by row
+from the one generator, so the counts equal those of one whole-matrix
+draw, whatever the block size; memory is one block, not the trial count.
 """
 
 from __future__ import annotations
@@ -47,6 +53,14 @@ MAX_SAMPLE_BYTES = 1 << 30
 # cells (rows x n) of the np.intp buffer that sample_batch shuffles; rows of
 # at least this many vertices are placed by rng.choice instead
 SHUFFLE_CELLS = 1 << 16
+
+# least rows per sample_counts block: count_batch gathers one row per edge
+# endpoint, and on blocks of fewer rows those gathers dominate
+BLOCK_ROWS = 256
+
+# bytes per trial kept for every trial: the int64 count and run_comparison's
+# float64 copies (the counts, their deviations and fourth powers)
+TRIAL_BYTES = 32
 
 
 @dataclass(frozen=True)
@@ -123,6 +137,19 @@ def sample(c: Composition, rng: np.random.Generator) -> np.ndarray:
     return base
 
 
+def _color_dtype(c: Composition) -> type:
+    return np.int8 if c.s <= 127 else np.int16 if c.s <= 32767 else np.int32
+
+
+def check_trials(trials: int) -> None:
+    """Refuse a trial count whose per-trial vectors pass MAX_SAMPLE_BYTES."""
+    if trials * TRIAL_BYTES > MAX_SAMPLE_BYTES:
+        raise ValueError(
+            f"{trials} trials need {trials * TRIAL_BYTES} bytes of per-trial "
+            f"results, past the {MAX_SAMPLE_BYTES}-byte limit"
+        )
+
+
 def sample_batch(c: Composition, trials: int, rng: np.random.Generator) -> np.ndarray:
     """(trials, n) array of independent uniform colorings, one per row.
 
@@ -135,7 +162,7 @@ def sample_batch(c: Composition, trials: int, rng: np.random.Generator) -> np.nd
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    dtype = np.int8 if c.s <= 127 else np.int16 if c.s <= 32767 else np.int32
+    dtype = _color_dtype(c)
     if trials * c.n * np.dtype(dtype).itemsize > MAX_SAMPLE_BYTES:
         raise ValueError(
             f"{trials} trials x n={c.n} colorings exceed the "
@@ -168,15 +195,35 @@ def count_batch(g: Graph, colors: np.ndarray) -> np.ndarray:
     edges are then compared in chunks of about BATCH_CELLS (edge, trial)
     cells, so beyond that copy memory stays near 3 * BATCH_CELLS bytes for
     int8 colors, however large m is.  A chunk has at most BATCH_CELLS edges,
-    so its per-row sum fits int32.
+    so its per-row sum fits int32.  Every chunk compares into one boolean
+    buffer: a fresh one per chunk made 256-row blocks of circulant(10^5, 10)
+    about 20% slower to count than the whole 1000-row matrix.
     """
     by_vertex = np.ascontiguousarray(colors.T)
     out = np.zeros(colors.shape[0], dtype=np.int64)
-    step = max(1, BATCH_CELLS // max(1, colors.shape[0]))
+    step = max(1, min(g.m, BATCH_CELLS // max(1, colors.shape[0])))
+    same = np.empty((step, colors.shape[0]), dtype=bool)
     for lo in range(0, g.m, step):
-        out += (by_vertex[g.u[lo : lo + step]] == by_vertex[g.v[lo : lo + step]]).sum(
-            axis=0, dtype=np.int32
-        )
+        eq = same[: min(step, g.m - lo)]
+        np.equal(by_vertex[g.u[lo : lo + step]], by_vertex[g.v[lo : lo + step]], out=eq)
+        out += eq.sum(axis=0, dtype=np.int32)
+    return out
+
+
+def sample_counts(g: Graph, c: Composition, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """Monochromatic edge count of g under each of `trials` uniform colorings.
+
+    Equal to count_batch(g, sample_batch(c, trials, rng)), with the same
+    draws, but sampled and counted max(BLOCK_ROWS, SHUFFLE_CELLS // n)
+    rows at a time, and no block past MAX_SAMPLE_BYTES.  A trial count
+    refused by check_trials is refused before any draw.
+    """
+    check_trials(trials)
+    row_bytes = c.n * np.dtype(_color_dtype(c)).itemsize
+    rows = max(1, min(max(BLOCK_ROWS, SHUFFLE_CELLS // c.n), MAX_SAMPLE_BYTES // row_bytes))
+    out = np.empty(trials, dtype=np.int64)
+    for lo in range(0, trials, rows):
+        out[lo : lo + rows] = count_batch(g, sample_batch(c, min(rows, trials - lo), rng))
     return out
 
 

@@ -24,7 +24,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .coloring import Composition, count_batch, sample, sample_batch
+from .coloring import Composition, check_trials, count_batch, sample, sample_counts
 from .graph import Graph, graph_template, parse_number, write_text
 from .moments import full_report, pz_lower_bound, record_json, records_csv
 from .randgraph import MODEL_KEYS, ModelSpec, check_grid, generate, parse_model_template, trend
@@ -101,7 +101,7 @@ class RegimeRow:
 
 
 def _empirical_fixed(g: Graph, c: Composition, trials: int, rng) -> tuple[float, float]:
-    ms = count_batch(g, sample_batch(c, trials, rng))
+    ms = sample_counts(g, c, trials, rng)
     return float(ms.mean()), float(ms.var(ddof=1))
 
 
@@ -161,6 +161,7 @@ def run_regime(
     """
     if trials != 0 and trials < 2:
         raise ValueError(f"trials must be 0 (exact only) or at least 2, got {trials}")
+    check_trials(trials)
     grid = family.grid
     at = (parse_model_template if family.is_random else graph_template)(family.graph)
     rule = parse_coloring_rule(family.coloring)
@@ -228,11 +229,16 @@ class ComparisonRecord:
 def run_comparison(
     g: Graph, c: Composition, trials: int, seed: int
 ) -> ComparisonRecord:
-    """Sample `trials` colorings of g and compare M's moments to the formulas."""
+    """Sample `trials` colorings of g and compare M's moments to the formulas.
+
+    The colorings are drawn and counted by coloring.sample_counts, one
+    block of rows at a time, so memory holds one block and the per-trial
+    vectors, never the (trials, n) matrix; a trial count whose per-trial
+    vectors pass MAX_SAMPLE_BYTES is refused before any draw."""
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     report = full_report(g, c)
-    ms = count_batch(g, sample_batch(c, trials, stream(seed))).astype(np.float64)
+    ms = sample_counts(g, c, trials, stream(seed)).astype(np.float64)
     emp_mean = float(ms.mean())
     emp_var = float(ms.var(ddof=1))
     se_mean = math.sqrt(emp_var / trials)

@@ -249,13 +249,15 @@ def config_sample(spec: ConfigModel, rng: np.random.Generator) -> ConfigSample:
     if int(degrees.sum()) % 2 == 1:
         degrees[int(rng.integers(n))] += 1
     stubs = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    pairs = np.sort(stubs[rng.permutation(len(stubs))].reshape(-1, 2), axis=1)
-    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    # the same swaps as indexing by rng.permutation(len(stubs)), in place
+    rng.shuffle(stubs)
+    lo, hi = np.minimum(stubs[0::2], stubs[1::2]), np.maximum(stubs[0::2], stubs[1::2])
+    keep = lo != hi
     # one int64 key per pair sorts like (u, v); it fits while n * n < 2**63,
     # i.e. n < 3.0e9, where the degree array alone would take 24 GB.  Keys are
     # >= 0, so a sort and a compare with the predecessor drop the repeats
     # (np.unique hashes before it sorts, several times slower)
-    keys = np.sort(pairs[:, 0] * n + pairs[:, 1])
+    keys = np.sort(lo[keep] * n + hi[keep])
     u, v = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
     return ConfigSample(
         graph=Graph.from_edges(n, np.column_stack((u, v))),

@@ -230,11 +230,16 @@ def test_criterion_09b_edge_count_variance_config():
 def test_criterion_10_reproducibility(tmp_path, capsys, monkeypatch):
     """Fixed-seed CLI runs are byte-identical across invocations and
     across worker thread counts (flag or environment)."""
-    # a narrow graph, and one wide enough for rows placed by rng.choice
-    for graph, trials in [("cycle:12", "2000"), ("circulant:n=70000,d=2", "20")]:
+    # a narrow graph, one wide enough for rows placed by rng.choice, and
+    # one sampled and counted in three blocks of rows
+    for graph, classes, trials, seed in [
+        ("cycle:12", "balanced:3", "2000", "11"),
+        ("circulant:n=70000,d=2", "balanced:3", "20", "11"),
+        ("star:4000", "3000,1000", "600", "3"),
+    ]:
         sim = [
-            "simulate", "--graph", graph, "--classes", "balanced:3",
-            "--trials", trials, "--seed", "11",
+            "simulate", "--graph", graph, "--classes", classes,
+            "--trials", trials, "--seed", seed,
         ]
         assert cli_main(sim) == 0
         first = capsys.readouterr().out

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import colorstats
-from colorstats import experiments, oracle, randgraph
+from colorstats import coloring, experiments, oracle, randgraph
 from colorstats.cli import main
 from colorstats.coloring import Composition
 from colorstats.experiments import FamilySpec, run_regime
@@ -439,15 +439,33 @@ class TestSimulate:
         assert code == 1
         assert "4-SE" in err
 
-    def test_matrix_past_byte_limit_exits_2(self, capsys):
-        # 10^5 trials x 10^5 int8 colors would be a 10 GB matrix
-        code, out, err = run(
-            capsys,
-            "simulate", "--graph", "cycle:100000", "--classes", "balanced:2",
-            "--trials", "100000", "--seed", "1",
+    def test_blocks_under_a_small_byte_limit_give_the_same_bytes(self, capsys, monkeypatch):
+        # at 2^16 bytes a block of cycle:1000 holds 65 rows instead of 256
+        args = (
+            "simulate", "--graph", "cycle:1000", "--classes", "balanced:2",
+            "--trials", "500", "--seed", "1",
         )
+        want = run(capsys, *args)
+        monkeypatch.setattr(coloring, "MAX_SAMPLE_BYTES", 1 << 16)
+        assert run(capsys, *args) == want
+        assert want[0] == 0
+
+    @pytest.mark.parametrize("command", ["simulate", "regime"])
+    def test_trials_past_byte_limit_exits_2(self, capsys, tmp_path, command):
+        # 10^14 trials of 32 bytes each, refused before any coloring is drawn
+        argv = {
+            "simulate": ["simulate", "--graph", "cycle:1000", "--classes", "balanced:2"],
+            "regime": ["regime", "--family", "star", "--classes", "3/4,1/4",
+                       "--grid", "40,80", "--out", str(tmp_path / "rows.json")],
+        }[command]
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--trials", "100000000000000", "--seed", "1")
+        assert time.perf_counter() - t0 < 1
         assert code == 2 and out == ""
-        assert err == "error: 100000 trials x n=100000 colorings exceed the 1073741824-byte limit of one coloring matrix\n"
+        assert err == (
+            "error: 100000000000000 trials need 3200000000000000 bytes of "
+            "per-trial results, past the 1073741824-byte limit\n"
+        )
 
     def test_deterministic_output(self, capsys):
         args = (

@@ -22,8 +22,9 @@ from colorstats.coloring import (
     prob_mono_blocks,
     sample,
     sample_batch,
+    sample_counts,
 )
-from colorstats.graph import Graph, path
+from colorstats.graph import Graph, complete, cycle, path, star
 from colorstats.oracle import arrangements, compositions_of, total_colorings
 from colorstats.seeds import stream
 from colorstats.symfun import elementary_symmetric, falling_factorial
@@ -123,6 +124,19 @@ BATCH_SHAPES = [
 ]
 
 
+# (composition, graph, trials): narrow rows over blocks of BLOCK_ROWS rows,
+# wide rows (n >= SHUFFLE_CELLS) over two blocks with 3 classes, narrow rows
+# in blocks of SHUFFLE_CELLS // n rows, trials below one block, and exactly
+# two blocks
+COUNT_SHAPES = [
+    (Composition((200, 100)), complete(300), 1000),
+    (Composition((60_000, 3_000, 3_000)), cycle(66_000), 300),
+    (Composition((100, 60, 40)), cycle(200), 5000),
+    (Composition((7, 3)), star(10), 100),
+    (Composition((128, 128)), cycle(256), 512),
+]
+
+
 class TestComposition:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -214,6 +228,25 @@ class TestSampling:
         assert sample_batch(c, 3, stream(2)).nbytes == 300
         with pytest.raises(ValueError, match="300-byte limit"):
             sample_batch(c, 4, stream(2))
+
+    @pytest.mark.parametrize("c, g, trials", COUNT_SHAPES)
+    def test_counts_match_the_whole_matrix(self, c, g, trials):
+        rng, ref_rng = stream(9), stream(9)
+        got = sample_counts(g, c, trials, rng)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, count_batch(g, sample_batch(c, trials, ref_rng)))
+        assert rng.random() == ref_rng.random()  # the same draws were consumed
+
+    def test_counts_memory_is_one_block(self):
+        # the whole (20000, 4000) int8 matrix would take 80 MB
+        g, c = star(4000), Composition((3000, 1000))
+        tracemalloc.start()
+        try:
+            sample_counts(g, c, 20_000, stream(12))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
     def test_uniform_over_all_colorings(self, monkeypatch):
         """Chi-square goodness of fit at the 1e-3 level, every composition

@@ -48,7 +48,9 @@ def reference_torus_edges(pts, r):
 
 
 def reference_config_sample(spec, rng):
-    """Erased configuration draw, deduplicated with np.unique(axis=0)."""
+    """Erased configuration draw as first written: stubs indexed by
+    rng.permutation, pairs ordered by np.sort(axis=1), repeats dropped by
+    np.unique(axis=0)."""
     n = spec.n
     degrees = spec.law.sample(rng, n)
     if int(degrees.sum()) % 2 == 1:
@@ -167,14 +169,24 @@ class TestConfig:
     @given(n=st.integers(1, 120), law=st.sampled_from(LAWS), seed=st.integers(0, 2**32))
     def test_matches_axis0_unique_reference(self, n, law, seed):
         spec = ConfigModel(n, law)
-        got, want = config_sample(spec, stream(seed)), reference_config_sample(spec, stream(seed))
+        rng, ref_rng = stream(seed), stream(seed)
+        got, want = config_sample(spec, rng), reference_config_sample(spec, ref_rng)
         assert got.graph == want.graph
         assert np.array_equal(got.pre_degrees, want.pre_degrees)
         assert (got.pre_m, got.pre_sigma2) == (want.pre_m, want.pre_sigma2)
+        assert rng.random() == ref_rng.random()
 
     def test_large_draw_matches_reference(self):
         spec = ConfigModel(4000, LAWS[0])
         assert config_sample(spec, stream(3)).graph == reference_config_sample(spec, stream(3)).graph
+
+    @pytest.mark.parametrize("n", [3, 10, 500, 4000])
+    def test_same_graphs_and_next_draw_as_the_reference(self, n):
+        for seed in range(30):
+            spec = ConfigModel(n, LAWS[seed % len(LAWS)])
+            rng, ref_rng = stream(seed, n), stream(seed, n)
+            assert config_sample(spec, rng).graph == reference_config_sample(spec, ref_rng).graph
+            assert rng.random() == ref_rng.random()
 
 
 # ── graph construction ────────────────────────────────────────────────────
