@@ -26,6 +26,9 @@ coloring, so sample_counts draws and counts a block of rows at a time
 instead of building the whole matrix.  Both sampler paths draw row by row
 from the one generator, so the counts equal those of one whole-matrix
 draw, whatever the block size; memory is one block, not the trial count.
+count_batch compares a block's edges in chunks of BATCH_CELLS = 2^18
+(edge, row) cells: the two gathered int8 operands and the boolean result,
+3 x 256 KiB, stay in a 2 MiB per-core L2 cache.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ import numpy as np
 from .graph import Graph
 from .symfun import falling_factorial
 
-# cells (edges x rows) per count_batch comparison buffer
-BATCH_CELLS = 1 << 22
+# cells (edges x rows) per count_batch comparison chunk, sized to stay in L2
+BATCH_CELLS = 1 << 18
 
 # bytes (trials x n x itemsize) of the largest coloring matrix sample_batch builds
 MAX_SAMPLE_BYTES = 1 << 30
@@ -58,9 +61,10 @@ SHUFFLE_CELLS = 1 << 16
 # endpoint, and on blocks of fewer rows those gathers dominate
 BLOCK_ROWS = 256
 
-# bytes per trial kept for every trial: the int64 count and run_comparison's
-# float64 copies (the counts, their deviations and fourth powers)
-TRIAL_BYTES = 32
+# bytes per trial kept for every trial: the int64 counts or run_comparison's
+# float64 copy of them, plus one temporary (the float64 copy being made, or
+# numpy's deviations inside var); the fourth powers are taken in place
+TRIAL_BYTES = 16
 
 
 @dataclass(frozen=True)
@@ -194,10 +198,13 @@ def count_batch(g: Graph, colors: np.ndarray) -> np.ndarray:
     The matrix is copied once as (n, trials), one row of colors per vertex;
     edges are then compared in chunks of about BATCH_CELLS (edge, trial)
     cells, so beyond that copy memory stays near 3 * BATCH_CELLS bytes for
-    int8 colors, however large m is.  A chunk has at most BATCH_CELLS edges,
-    so its per-row sum fits int32.  Every chunk compares into one boolean
-    buffer: a fresh one per chunk made 256-row blocks of circulant(10^5, 10)
-    about 20% slower to count than the whole 1000-row matrix.
+    int8 colors (768 KiB), however large m is.  Those three arrays stay in
+    a 2 MiB per-core L2 cache: 1000 rows of circulant(10^5, 10) counted in
+    256-row blocks took 273 ms at 2^18 cells against 327 ms at 2^22
+    (median of 15 runs on a 2-vCPU VM).  A chunk has at most BATCH_CELLS
+    edges, so its per-row sum fits int32.  Every chunk compares into one
+    boolean buffer: at 2^22 cells a fresh one per chunk made those blocks
+    26% slower (412 ms); at 2^18 the two are within 1%.
     """
     by_vertex = np.ascontiguousarray(colors.T)
     out = np.zeros(colors.shape[0], dtype=np.int64)

@@ -232,9 +232,10 @@ def run_comparison(
     """Sample `trials` colorings of g and compare M's moments to the formulas.
 
     The colorings are drawn and counted by coloring.sample_counts, one
-    block of rows at a time, so memory holds one block and the per-trial
-    vectors, never the (trials, n) matrix; a trial count whose per-trial
-    vectors pass MAX_SAMPLE_BYTES is refused before any draw."""
+    block of rows at a time, so memory holds one block and at most
+    TRIAL_BYTES per trial, never the (trials, n) matrix: the counts are
+    centered and raised to the fourth power in place.  A trial count whose
+    per-trial vectors pass MAX_SAMPLE_BYTES is refused before any draw."""
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     report = full_report(g, c)
@@ -242,8 +243,8 @@ def run_comparison(
     emp_mean = float(ms.mean())
     emp_var = float(ms.var(ddof=1))
     se_mean = math.sqrt(emp_var / trials)
-    centered = ms - emp_mean
-    m4 = float((centered**4).mean())
+    ms -= emp_mean
+    m4 = float(np.power(ms, 4, out=ms).mean())
     var_of_var = (m4 - (trials - 3) / (trials - 1) * emp_var**2) / trials
     se_var = math.sqrt(max(var_of_var, 0.0))
     exact_mean = report.mean_M

@@ -452,7 +452,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("command", ["simulate", "regime"])
     def test_trials_past_byte_limit_exits_2(self, capsys, tmp_path, command):
-        # 10^14 trials of 32 bytes each, refused before any coloring is drawn
+        # 10^14 trials of 16 bytes each, refused before any coloring is drawn
         argv = {
             "simulate": ["simulate", "--graph", "cycle:1000", "--classes", "balanced:2"],
             "regime": ["regime", "--family", "star", "--classes", "3/4,1/4",
@@ -463,7 +463,7 @@ class TestSimulate:
         assert time.perf_counter() - t0 < 1
         assert code == 2 and out == ""
         assert err == (
-            "error: 100000000000000 trials need 3200000000000000 bytes of "
+            "error: 100000000000000 trials need 1600000000000000 bytes of "
             "per-trial results, past the 1073741824-byte limit\n"
         )
 

@@ -3,6 +3,7 @@
 import io
 import json
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from colorstats.experiments import (
     run_comparison,
     run_regime,
 )
-from colorstats.graph import path, regular_circulant, star
+from colorstats.graph import cycle, path, regular_circulant, star
 from colorstats.moments import full_report, record_json
 from colorstats.randgraph import parse_model_template
 
@@ -107,6 +108,17 @@ class TestComparison:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             run_comparison(path(4), Composition((2, 2)), trials=1, seed=0)
+
+    def test_memory_is_sixteen_bytes_a_trial(self):
+        trials = 10**6
+        tracemalloc.start()
+        try:
+            rec = run_comparison(cycle(12), Composition.balanced(12, 3), trials=trials, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec.mean_ok and rec.var_ok
+        assert peak < 16 * trials + (2 << 20)
 
     def test_json_fields(self):
         rec = run_comparison(path(5), Composition((3, 2)), trials=100, seed=3)

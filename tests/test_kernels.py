@@ -22,7 +22,9 @@ from hypothesis import strategies as st
 
 from colorstats import coloring
 from colorstats.coloring import Composition, count_batch, sample_batch
-from colorstats.graph import EdgeListError, Graph, path, regular_circulant, star
+from colorstats.graph import EdgeListError, Graph, path, regular_circulant, star, stats
+from colorstats.moments import var_common, var_Mi
+from colorstats.oracle import compositions_of, corpus_graphs
 from colorstats.randgraph import (
     ConfigModel,
     ConfigSample,
@@ -274,6 +276,44 @@ class TestCountBatch:
         assert np.array_equal(count_batch(g, colors), reference_count_batch(g, colors))
 
 
+def complement(g):
+    """The complement graph, built from the pair indices of np.triu_indices."""
+    iu, iv = np.triu_indices(g.n, 1)
+    keep = np.ones(len(iu), dtype=bool)
+    keep[g.u * g.n - g.u * (g.u + 1) // 2 + g.v - g.u - 1] = False
+    return Graph.from_edges(g.n, np.column_stack((iu[keep], iv[keep])))
+
+
+class TestComplementIdentity:
+    """Every vertex pair is an edge of exactly one of G and its complement,
+    so per coloring their monochromatic counts sum to sum_i C(c_i, 2), and
+    M and each M_i have the same variance on both."""
+
+    def test_counts_and_variances_of_a_graph_and_its_complement(self):
+        large = [star(2000), path(1500), regular_circulant(2000, 7)]
+        graphs = [g for _, g in corpus_graphs(max_n=9)] + large
+        for i, g in enumerate(graphs):
+            gc = complement(g)
+            assert g.m + gc.m == g.n * (g.n - 1) // 2
+            if g.n <= 9:
+                comps = [Composition(p) for s in (2, 3) for p in compositions_of(g.n, s)]
+            else:
+                comps = [Composition.balanced(g.n, 3),
+                         Composition.from_ratios(g.n, (Fraction(3, 4), Fraction(1, 4)))]
+                # 7 rows of each composition, counted in one matrix
+                colors = np.vstack([sample_batch(c, 7, stream(30, i, k)) for k, c in enumerate(comps)])
+                pairs = np.repeat([sum(ci * (ci - 1) // 2 for ci in c.classes) for c in comps], 7)
+                for cells in (1 << 10, 1 << 18, 1 << 22):
+                    with mock.patch.object(coloring, "BATCH_CELLS", cells):
+                        total = count_batch(g, colors) + count_batch(gc, colors)
+                    assert np.array_equal(total, pairs), (g.n, cells)
+            g_stats, gc_stats = stats(g), stats(gc)
+            for c in comps:
+                assert var_common(g_stats, c) == var_common(gc_stats, c), (g.n, c)
+                for k in range(1, c.s + 1):
+                    assert var_Mi(g_stats, c, k) == var_Mi(gc_stats, c, k), (g.n, c, k)
+
+
 # ── scale ─────────────────────────────────────────────────────────────────
 
 
@@ -306,3 +346,15 @@ class TestScale:
             tracemalloc.stop()
         # the transposed copy plus two gathered operands and one comparison
         assert peak < colors.nbytes + 3 * coloring.BATCH_CELLS + (1 << 20)
+
+    def test_count_batch_chunks_fit_two_mib(self):
+        """The same count, bounded by a fixed size, not by the chunk constant."""
+        g = regular_circulant(20000, 10)
+        colors = sample_batch(Composition.balanced(g.n, 3), 100, stream(6))
+        tracemalloc.start()
+        try:
+            count_batch(g, colors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < colors.nbytes + (2 << 20)
