@@ -28,7 +28,9 @@ from the one generator, so the counts equal those of one whole-matrix
 draw, whatever the block size; memory is one block, not the trial count.
 count_batch compares a block's edges in chunks of BATCH_CELLS = 2^18
 (edge, row) cells: the two gathered int8 operands and the boolean result,
-3 x 256 KiB, stay in a 2 MiB per-core L2 cache.
+3 x 256 KiB, stay in a 2 MiB per-core L2 cache.  Each chunk's matches are
+summed per row in uint16, in about half the time of an int32 sum, so a
+chunk holds at most 65,535 edges.
 """
 
 from __future__ import annotations
@@ -201,19 +203,19 @@ def count_batch(g: Graph, colors: np.ndarray) -> np.ndarray:
     int8 colors (768 KiB), however large m is.  Those three arrays stay in
     a 2 MiB per-core L2 cache: 1000 rows of circulant(10^5, 10) counted in
     256-row blocks took 273 ms at 2^18 cells against 327 ms at 2^22
-    (median of 15 runs on a 2-vCPU VM).  A chunk has at most BATCH_CELLS
-    edges, so its per-row sum fits int32.  Every chunk compares into one
-    boolean buffer: at 2^22 cells a fresh one per chunk made those blocks
-    26% slower (412 ms); at 2^18 the two are within 1%.
+    (median of 15 runs on a 2-vCPU VM).  The matches of a chunk are summed
+    per row as uint8 into uint16, so a chunk has at most 65,535 edges: a
+    (1024, 256) chunk sums in 36 us this way, 38 us from bool and 66 us
+    into int32 (median of 201).  A fresh comparison array per chunk costs
+    no more than one reused buffer (within 1% on the blocks above).
     """
     by_vertex = np.ascontiguousarray(colors.T)
     out = np.zeros(colors.shape[0], dtype=np.int64)
-    step = max(1, min(g.m, BATCH_CELLS // max(1, colors.shape[0])))
-    same = np.empty((step, colors.shape[0]), dtype=bool)
+    step = max(1, min(g.m, BATCH_CELLS // max(1, colors.shape[0]), 0xFFFF))
     for lo in range(0, g.m, step):
-        eq = same[: min(step, g.m - lo)]
-        np.equal(by_vertex[g.u[lo : lo + step]], by_vertex[g.v[lo : lo + step]], out=eq)
-        out += eq.sum(axis=0, dtype=np.int32)
+        us, vs = g.u[lo : lo + step], g.v[lo : lo + step]
+        # one expression, so no chunk's comparison outlives its sum
+        out += (by_vertex[us] == by_vertex[vs]).view(np.uint8).sum(axis=0, dtype=np.uint16)
     return out
 
 

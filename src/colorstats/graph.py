@@ -14,6 +14,7 @@ import ast
 import io
 import math
 import operator
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -147,18 +148,22 @@ def cycle(n: int) -> Graph:
 def regular_circulant(n: int, d: int) -> Graph:
     """d-regular circulant: each vertex joined to the d/2 nearest offsets on
     either side; an odd d additionally uses the antipodal offset n/2, which
-    needs n even (otherwise no d-regular graph on n vertices exists)."""
+    needs n even (otherwise no d-regular graph on n vertices exists).  The
+    edges are built in canonical order, so from_edges does not sort them."""
     if n < 3:
         raise ValueError(f"circulant needs n >= 3, got {n}")
     if not (1 <= d < n):
         raise ValueError(f"circulant degree must satisfy 1 <= d < n, got d={d}")
     if d % 2 == 1 and n % 2 == 1:
         raise ValueError(f"no {d}-regular graph on {n} vertices: n*d is odd")
-    vs = np.arange(n, dtype=np.int64)
-    blocks = [np.column_stack((vs, (vs + off) % n)) for off in range(1, d // 2 + 1)]
-    if d % 2 == 1:
-        blocks.append(np.column_stack((vs[: n // 2], vs[n // 2 :])))
-    return Graph.from_edges(n, np.concatenate(blocks))
+    h = d // 2
+    offsets = np.concatenate((np.arange(1, h + 1), np.arange(n // 2, n // 2 + d % 2), np.arange(n - h, n)))
+    # u is joined forward to u + o for each offset o < n - u; listed by u and
+    # then by o, the edges come out in canonical (u, v) order
+    counts = np.searchsorted(offsets, n - np.arange(n))
+    us = np.repeat(np.arange(n), counts)
+    first = np.repeat(np.cumsum(counts) - counts, counts)  # where each edge's run of u's edges starts
+    return Graph.from_edges(n, np.column_stack((us, us + offsets[np.arange(len(us)) - first])))
 
 
 def threshold_graph(creation: str) -> Graph:
@@ -382,20 +387,34 @@ _MALFORMED_LINE = re.compile(r"^(?![^\S\n]*(?:-?[0-9]+[^\S\n]+-?[0-9]+[^\S\n]*)?
 # "-", spaces, tabs and LF line ends (a CR only before an LF)
 _PLAIN = b"0123456789- \t\r\n"
 _DIGIT = re.compile(rb"[0-9]")
+# suffixes of the files numpy's loadtxt decompresses when given their path
+_COMPRESSED = (".bz2", ".gz", ".lzma", ".xz")
 
 
-def _read_plain(text: str, n: int, m: int) -> Graph | None:
+def _read_plain(text: str, n: int, m: int, source) -> Graph | None:
     """The graph of a plain file read by numpy's C reader; None for any other
-    file and for every file that reader or Graph.from_edges refuses."""
+    file and for every file that reader or Graph.from_edges refuses.  `text`
+    is what was read from `source`.  Given a str path, loadtxt reads the
+    file in chunks in C, and any other input one line at a time through
+    Python, so a regular file is read again from its path; a file object, a
+    FIFO or a pipe can be read only once, and is read from `text`."""
     data = text.encode() if text.isascii() else b"x"
-    if data.translate(None, _PLAIN) or data.count(b"\r") != data.count(b"\r\n"):
+    if data.translate(None, _PLAIN) or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
         return None
     if not _DIGIT.search(data, data.find(b"\n") + 1 or len(data)):  # loadtxt warns on a body without numbers
         return None
+    path = os.fsdecode(source) if isinstance(source, (str, bytes, os.PathLike)) else ""
+    if os.path.isfile(path) and not path.endswith(_COMPRESSED):
+        # made absolute but not normalized (link/.. is the parent of the
+        # link's target), so numpy cannot take it for a URL; numpy reads it
+        # in text mode, as `text` was read, so both see a CR line end as an LF
+        source = os.path.join(os.getcwd(), path)
+    else:
+        source = io.BytesIO(data)
     try:
-        pairs = np.loadtxt(io.BytesIO(data), dtype=np.int64, ndmin=2, comments=None, skiprows=1)
+        pairs = np.loadtxt(source, dtype=np.int64, ndmin=2, comments=None, skiprows=1, encoding="utf-8")
         return Graph.from_edges(n, pairs) if pairs.shape == (m, 2) else None
-    except ValueError:  # EdgeListError too: the scanner names the fault
+    except (ValueError, OSError):  # EdgeListError too: the scanner names the fault
         return None
 
 
@@ -413,9 +432,10 @@ def load_edge_list(path_or_file) -> Graph:
     self-loop, a duplicate edge, an out-of-range endpoint, or one edge too
     many) raises EdgeListError naming it.  A file of only ASCII digits, "-",
     spaces, tabs and LF or CRLF line ends is read by numpy's C reader in
-    about 5x its size of memory; every other file, and every file that reader
-    or Graph.from_edges refuses, goes through the line scanner, which gives
-    the same graph and writes every error message.
+    about 5x its size of memory: a regular file from its path, a file object,
+    FIFO or pipe from the text already read.  Every other file, and every
+    file that reader or Graph.from_edges refuses, goes through the line
+    scanner, which gives the same graph and writes every error message.
     """
     if hasattr(path_or_file, "read"):
         text = path_or_file.read()
@@ -434,7 +454,7 @@ def load_edge_list(path_or_file) -> Graph:
     if isinstance(n, Decimal) or isinstance(m, Decimal) or n < 1 or m < 0:
         raise EdgeListError(f"header values out of range: n={_brief(n)}, m={_brief(m)}", line=1)
 
-    g = _read_plain(text, n, m)
+    g = _read_plain(text, n, m, path_or_file)
     if g is not None:
         return g
     lines = text.splitlines()

@@ -3,15 +3,21 @@
 import io
 import itertools
 import math
+import os
 import re
+import tempfile
+import threading
 import tracemalloc
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from colorstats import graph
 from colorstats.coloring import Composition
 from colorstats.graph import (
     EdgeListError,
@@ -47,6 +53,15 @@ LIST_BUILT = {
     path: lambda n: Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)]),
     cycle: lambda n: Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)]),
 }
+
+
+def circulant_blocks(n, d):
+    """regular_circulant as one (v, v + off mod n) block per offset, sorted by from_edges."""
+    vs = np.arange(n, dtype=np.int64)
+    blocks = [np.column_stack((vs, (vs + off) % n)) for off in range(1, d // 2 + 1)]
+    if d % 2 == 1:
+        blocks.append(np.column_stack((vs[: n // 2], vs[n // 2 :])))
+    return Graph.from_edges(n, np.concatenate(blocks))
 
 
 def threshold_loop(creation):
@@ -171,6 +186,18 @@ class TestGenerators:
         assert set(regular_circulant(10, 4).degrees) == {4}
         assert set(regular_circulant(6, 3).degrees) == {3}
         assert set(regular_circulant(8, 5).degrees) == {5}
+
+    def test_circulant_matches_offset_blocks_in_canonical_order(self, monkeypatch):
+        """The edges reach from_edges already sorted: its lexsort never runs."""
+        want = {(n, d): circulant_blocks(n, d)
+                for n in range(3, 65) for d in range(1, n) if n * d % 2 == 0}
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("from_edges sorted the circulant's edges")
+
+        monkeypatch.setattr(graph.np, "lexsort", no_sort)
+        for (n, d), g in want.items():
+            assert regular_circulant(n, d) == g, (n, d)
 
     def test_circulant_parity_rejected(self):
         with pytest.raises(ValueError, match="odd"):
@@ -333,6 +360,36 @@ def plain_edge_list_texts(draw):
     return text + draw(st.sampled_from(["", "\n", "\r\n"]))
 
 
+def load_result(source):
+    """load_edge_list's graph, or the line and message of its EdgeListError."""
+    try:
+        return load_edge_list(source)
+    except EdgeListError as err:
+        return err.line, str(err)
+
+
+def written(directory, text, name="g.txt"):
+    """A file holding text as UTF-8, its line ends as given."""
+    p = Path(directory) / name
+    with open(p, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return p
+
+
+@pytest.fixture
+def loadtxt_sources(monkeypatch):
+    """What np.loadtxt is handed, call by call."""
+    sources = []
+    loadtxt = np.loadtxt
+
+    def spy(source, *args, **kwargs):
+        sources.append(source)
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(graph.np, "loadtxt", spy)
+    return sources
+
+
 class TestEdgeListIO:
     def test_round_trip(self):
         g = cycle(5)
@@ -443,3 +500,65 @@ class TestEdgeListIO:
             tracemalloc.stop()
         assert got == g
         assert peak <= 8 * size, f"peak {peak / size:.1f}x the file"
+
+    @given(st.one_of(edge_list_texts(), plain_edge_list_texts()))
+    def test_path_reads_as_its_text(self, text):
+        """A file loaded from its path and from the text it holds gives the
+        same graph or the same error, though numpy may read a plain file
+        again from its path."""
+        with tempfile.TemporaryDirectory() as directory:
+            p = written(directory, text)
+            want = load_result(io.StringIO(p.read_text(encoding="utf-8")))
+            assert load_result(p) == want
+            assert load_result(str(p)) == want
+
+    def test_numpy_reads_a_regular_file_from_its_path(self, tmp_path, loadtxt_sources):
+        """Given a str path numpy reads in chunks in C, given anything else
+        one line at a time through Python."""
+        p = written(tmp_path, "5 3\r\n0 1\r\n\r\n4 2\r\n3 1\r\n")
+        want = Graph.from_edges(5, [(0, 1), (2, 4), (1, 3)])
+        assert load_edge_list(p) == want
+        with open(p, encoding="utf-8") as fh:
+            assert load_edge_list(fh) == want
+        assert [type(source) for source in loadtxt_sources] == [str, io.BytesIO]
+        assert os.path.samefile(loadtxt_sources[0], p)
+
+    def test_compressed_suffix_is_read_as_text(self, tmp_path, loadtxt_sources):
+        """numpy decompresses a path with these suffixes; a plain file so
+        named is read from its text."""
+        for name in ("g.gz", "g.txt.bz2", "g.xz", "g.lzma"):
+            assert load_edge_list(written(tmp_path, "3 1\n0 2\n", name)) == Graph.from_edges(3, [(0, 2)])
+        assert [type(source) for source in loadtxt_sources] == [io.BytesIO] * 4
+
+    def test_path_through_a_symlink_and_dotdot(self, tmp_path):
+        """link/.. is the link target's parent, so the path is not normalized."""
+        (tmp_path / "a" / "b").mkdir(parents=True)
+        written(tmp_path / "a", "3 1\n0 1\n")
+        written(tmp_path, "3 1\n0 2\n")
+        (tmp_path / "link").symlink_to(tmp_path / "a" / "b")
+        assert load_edge_list(tmp_path / "link" / ".." / "g.txt") == Graph.from_edges(3, [(0, 1)])
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_fifo_is_read_once(self, tmp_path):
+        """A FIFO's text can be read only once: a second open would wait for
+        a writer that is gone.  The threads are joined with a timeout, so a
+        hang fails the test."""
+        fifo = tmp_path / "g.fifo"
+        os.mkfifo(fifo)
+        result = []
+
+        def write():
+            with open(fifo, "w", encoding="utf-8") as fh:
+                fh.write("5 2\n3 4\n0 1\n")
+
+        threads = [threading.Thread(target=f, daemon=True)
+                   for f in (write, lambda: result.append(load_edge_list(fifo)))]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads), "loading a FIFO hung"
+        assert result == [Graph.from_edges(5, [(0, 1), (3, 4)])]
+        assert not caught

@@ -269,6 +269,18 @@ class TestCountBatch:
         assert count_batch(path(7), colors).tolist() == [2]
         assert count_batch(Graph.from_edges(7, []), np.repeat(colors, 5, axis=0)).tolist() == [0] * 5
 
+    @pytest.mark.parametrize("cells", [1 << 10, 1 << 18, 1 << 22])
+    def test_chunk_sums_do_not_wrap(self, cells):
+        """Under all-equal colors every edge is monochromatic; one chunk of
+        all 80,000 edges would wrap a uint16 row sum past 65,535."""
+        g = regular_circulant(20000, 8)
+        for rows in (1, 2, 3, 5):
+            colors = np.ones((rows, g.n), dtype=np.int8)
+            with mock.patch.object(coloring, "BATCH_CELLS", cells):
+                got = count_batch(g, colors)
+            assert got.tolist() == [g.m] * rows
+            assert np.array_equal(got, (colors[:, g.u] == colors[:, g.v]).sum(axis=1))
+
     def test_more_rows_than_one_chunk_holds(self):
         g = regular_circulant(20000, 10)  # m = 100,000
         rows = coloring.BATCH_CELLS // g.m + 5
