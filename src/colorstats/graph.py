@@ -409,6 +409,7 @@ def _read_plain(text: str, n: int, m: int, source) -> Graph | None:
         # link's target), so numpy cannot take it for a URL; numpy reads it
         # in text mode, as `text` was read, so both see a CR line end as an LF
         source = os.path.join(os.getcwd(), path)
+        del data  # only the BytesIO route reads the bytes again
     else:
         source = io.BytesIO(data)
     try:
@@ -432,7 +433,7 @@ def load_edge_list(path_or_file) -> Graph:
     self-loop, a duplicate edge, an out-of-range endpoint, or one edge too
     many) raises EdgeListError naming it.  A file of only ASCII digits, "-",
     spaces, tabs and LF or CRLF line ends is read by numpy's C reader in
-    about 5x its size of memory: a regular file from its path, a file object,
+    about 4.5x its size of memory: a regular file from its path, a file object,
     FIFO or pipe from the text already read.  Every other file, and every
     file that reader or Graph.from_edges refuses, goes through the line
     scanner, which gives the same graph and writes every error message.

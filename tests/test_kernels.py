@@ -21,10 +21,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from colorstats import coloring
-from colorstats.coloring import Composition, count_batch, sample_batch
+from colorstats.coloring import Composition, count_batch, prob_mono_blocks, sample_batch
 from colorstats.graph import EdgeListError, Graph, path, regular_circulant, star, stats
 from colorstats.moments import var_common, var_Mi
-from colorstats.oracle import compositions_of, corpus_graphs
+from colorstats.oracle import arrangements, compositions_of, corpus_graphs, enumerate_colorings, exact_moments
 from colorstats.randgraph import (
     ConfigModel,
     ConfigSample,
@@ -324,6 +324,43 @@ class TestComplementIdentity:
                 assert var_common(g_stats, c) == var_common(gc_stats, c), (g.n, c)
                 for k in range(1, c.s + 1):
                     assert var_Mi(g_stats, c, k) == var_Mi(gc_stats, c, k), (g.n, c, k)
+
+    def test_variance_coefficients_satisfy_the_complement_constraint(self):
+        """Write Var[M] = A sigma2 + B m^2 + C m.  With N = n(n - 1)/2,
+        sigma2 - sigma2(Gc) = 2(n - 1)(2m - N) and m^2 - m(Gc)^2 = N(2m - N),
+        so M has the same variance on every graph and its complement iff
+        2(n - 1) A + N B + C = 0; one exact check per composition, at any n."""
+        comps = [Composition(p) for n in (12, 60) for s in (2, 3) for p in compositions_of(n, s)]
+        comps += [Composition.balanced(10**6, 3), Composition.balanced(10**6, 50),
+                  Composition.from_ratios(10**6, (Fraction(3, 4), Fraction(1, 4))),
+                  Composition.balanced(999_999, 7)]
+        assert len(comps) == 1840
+        for c in comps:
+            p2, p3, p22 = (prob_mono_blocks(c, k) for k in ((2,), (3,), (2, 2)))
+            a, b, cm = p3 - p22, p22 - p2 * p2, p2 - 2 * p3 + p22
+            assert 2 * (c.n - 1) * a + c.n * (c.n - 1) // 2 * b + cm == 0, c.classes
+
+    def test_oracle_laws_mirror_on_the_complement(self):
+        """On each coloring M_i(G) + M_i(Gc) = C(c_i, 2), so the oracle's law on
+        Gc is the law on G with each outcome x sent to (C(c_i, 2) - x_i)_i."""
+        graphs = [g for _, g in corpus_graphs(max_n=9)]
+        cells = 0
+        for n in range(4, 10):
+            pairs = [(g, complement(g)) for g in graphs if g.n == n]
+            for parts in (p for s in (2, 3) for p in compositions_of(n, s)):
+                c = Composition(parts)
+                table = arrangements(c)
+                full = [ci * (ci - 1) // 2 for ci in parts]
+                for g, gc in pairs:
+                    dist, dist_c = enumerate_colorings(g, c, table), enumerate_colorings(gc, c, table)
+                    assert dist_c.support == {
+                        tuple(k - x for k, x in zip(full, key)): cnt for key, cnt in dist.support.items()
+                    }, (g, c)
+                    om, om_c = exact_moments(dist, g.m), exact_moments(dist_c, gc.m)
+                    assert om_c.var_M == om.var_M and om_c.var_Mi == om.var_Mi, (g, c)
+                    assert om.mean_M + om_c.mean_M == sum(full), (g, c)
+                    cells += 1
+        assert cells == 749
 
 
 # ── scale ─────────────────────────────────────────────────────────────────
