@@ -8,24 +8,37 @@ monochromatic, in given, any or pairwise distinct colors; the oracle checks
 them by enumeration), and samplers (single draw and a vectorized batch
 used by the Monte Carlo harnesses).
 
-The batch sampler has two exact paths, cut at SHUFFLE_CELLS vertices.
-Narrower rows are shuffled a block at a time in one reusable np.intp
-buffer and copied into the narrow int8/int16/int32 result: numpy's
-Fisher-Yates loop swaps items of sizeof(npy_intp) bytes directly and
-items of any other size by a byte copy, and the draws do not depend on
-the item size, so a fixed seed gives the colorings of a shuffle of the
-narrow matrix itself.  A row of at least SHUFFLE_CELLS vertices is filled
-with the color of the first largest class, and the k = n - c_max other
-colors go, in class order, to rng.choice(n, k, replace=False): a uniformly
-random ordered sample of k distinct positions, drawn in about k steps by a
-partial shuffle (Durstenfeld 1964) instead of n.  A batch of more than
-MAX_SAMPLE_BYTES bytes is refused before anything is allocated.
+The batch sampler colors a composition of at most three classes from keys:
+each cell gets an independent uniform 32-bit key, read from the generator's
+raw 64-bit words, and a vertex's color is 1 + the number of class
+boundaries b_i = c_1 + ... + c_i whose key (the b_i-th smallest of its row,
+found by np.partition) its own key exceeds.  A row with equal keys on both
+sides of a boundary is drawn again.  The law is exact: the rank
+permutation of i.i.d. keys, ties broken uniformly, is uniform and
+independent of the sorted key values, and whether a row is kept depends
+only on those values, so a kept row is the coloring by rank of a uniform
+permutation.  A redraw happens with probability about (s - 1) n / 2^32 per
+row.  Four or more classes keep two exact shuffle paths, cut at
+SHUFFLE_CELLS vertices, because there a chain of partitions loses to the
+shuffle on short rows.  Narrower rows are shuffled a block at a time in one
+reusable np.intp buffer and copied into the narrow int8/int16/int32
+result: numpy's Fisher-Yates loop swaps items of sizeof(npy_intp) bytes
+directly and items of any other size by a byte copy, and the draws do not
+depend on the item size, so a fixed seed gives the colorings of a shuffle
+of the narrow matrix itself.  A row of at least SHUFFLE_CELLS vertices is
+filled with the color of the first largest class, and the k = n - c_max
+other colors go, in class order, to rng.choice(n, k, replace=False): a
+uniformly random ordered sample of k distinct positions, drawn in about k
+steps by a partial shuffle (Durstenfeld 1964) instead of n.  A batch of
+more than MAX_SAMPLE_BYTES bytes is refused before anything is allocated.
 
 The Monte Carlo harnesses read only the monochromatic edge count of each
 coloring, so sample_counts draws and counts a block of rows at a time
-instead of building the whole matrix.  Both sampler paths draw row by row
-from the one generator, so the counts equal those of one whole-matrix
-draw, whatever the block size; memory is one block, not the trial count.
+instead of building the whole matrix.  Keys are drawn in blocks of
+SHUFFLE_CELLS // n rows and a tied row is drawn again at the end of its key
+block, so sample_counts takes a whole number of key blocks at a time; the
+shuffle paths draw row by row.  Then the counts equal those of one
+whole-matrix draw; memory is one block, not the trial count.
 count_batch compares a block's edges in chunks of BATCH_CELLS = 2^18
 (edge, row) cells: the two gathered int8 operands and the boolean result,
 3 x 256 KiB, stay in a 2 MiB per-core L2 cache.  Each chunk's matches are
@@ -55,8 +68,9 @@ BATCH_CELLS = 1 << 18
 # bytes (trials x n x itemsize) of the largest coloring matrix sample_batch builds
 MAX_SAMPLE_BYTES = 1 << 30
 
-# cells (rows x n) of the np.intp buffer that sample_batch shuffles; rows of
-# at least this many vertices are placed by rng.choice instead
+# cells (rows x n) of one sample_batch block: the 32-bit keys (256 KiB) of at
+# most three classes, or the np.intp buffer shuffled for more; rows of at
+# least this many vertices in four or more classes are placed by rng.choice
 SHUFFLE_CELLS = 1 << 16
 
 # least rows per sample_counts block: count_batch gathers one row per edge
@@ -156,15 +170,63 @@ def check_trials(trials: int) -> None:
         )
 
 
+def _block_rows(n: int) -> int:
+    """Rows of one sample_batch block: about SHUFFLE_CELLS cells, at least one row."""
+    return max(1, SHUFFLE_CELLS // n)
+
+
+def _keys(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
+    """(rows, n) independent uniform 32-bit keys: the generator's raw 64-bit
+    words, two keys each (about 1.2 ns a key, against 2.9 for rng.integers)."""
+    words = rng.bit_generator.random_raw(-(-rows * n // 2))
+    return words.view(np.uint32)[: rows * n].reshape(rows, n)
+
+
+def _rank_colors(out: np.ndarray, keys: np.ndarray, bounds: tuple[int, ...]) -> np.ndarray:
+    """Color each row of the int8 block `out` by the ranks of its keys, and
+    return the indices of the rows with equal keys on both sides of a class
+    boundary.
+
+    For each boundary b of `bounds` (ascending), from the last, one
+    single-kth partition of the columns left of the previous boundary puts
+    the b-th smallest key t at index b - 1 (a kth list would take numpy's
+    slower path).  A vertex's color is 1 + the number of t its key exceeds.
+    At least b keys of a row are at most t, so at most n - b vertices lie
+    above each boundary and a row's colors sum to at most n + sum(n - b),
+    with equality exactly when no boundary is tied.  One sum over the block
+    clears it; only a block that fails is summed by row (a per-row min
+    right of each boundary took about as long as its partition at n = 12).
+    """
+    part, thresholds = keys.copy(), []
+    for b in reversed(bounds):
+        part.partition(b - 1, axis=1)
+        thresholds.append(part[:, b - 1 : b].copy())  # the next partition may move it
+        part = part[:, :b]  # the b smallest keys
+    np.greater(keys, thresholds.pop(), out=out.view(bool))
+    out += 1
+    for t in thresholds:
+        out += keys > t
+    weight = keys.shape[1] * (len(bounds) + 1) - sum(bounds)
+    if out.sum(dtype=np.int64) == len(out) * weight:
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(out.sum(axis=1, dtype=np.int64) != weight)
+
+
 def sample_batch(c: Composition, trials: int, rng: np.random.Generator) -> np.ndarray:
     """(trials, n) array of independent uniform colorings, one per row.
 
-    Rows narrower than SHUFFLE_CELLS are shuffled in order, about
-    SHUFFLE_CELLS cells at a time, in one np.intp buffer; the result equals
-    a shuffle of the narrow matrix whole.  Wider rows hold the color of the
-    first largest class except at rng.choice(n, k, replace=False), which
-    takes the other k colors in class order.  More than MAX_SAMPLE_BYTES
-    bytes of result is refused.
+    At most three classes: each block of _block_rows(n) rows gets uniform
+    32-bit keys and is colored by their ranks (_rank_colors); the rows tied
+    at a class boundary then get new keys together, in row order, until
+    none is tied.  A kept row is the coloring by rank of a uniform
+    permutation, because the rank permutation of i.i.d. keys is independent
+    of their sorted values, which alone decide whether the row is kept; so
+    the law is exactly uniform.  Four or more classes: rows narrower than
+    SHUFFLE_CELLS are shuffled in order, one block at a time, in one np.intp
+    buffer, and the result equals a shuffle of the narrow matrix whole;
+    wider rows hold the color of the first largest class except at
+    rng.choice(n, k, replace=False), which takes the other k colors in class
+    order.  More than MAX_SAMPLE_BYTES bytes of result is refused.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -174,18 +236,30 @@ def sample_batch(c: Composition, trials: int, rng: np.random.Generator) -> np.nd
             f"{trials} trials x n={c.n} colorings exceed the "
             f"{MAX_SAMPLE_BYTES}-byte limit of one coloring matrix"
         )
+    out = np.empty((trials, c.n), dtype=dtype)
+    rows = _block_rows(c.n)
+    if c.s <= 3:
+        bounds = tuple(itertools.accumulate(c.classes[:-1]))
+        for lo in range(0, trials, rows):
+            block = out[lo : lo + rows]
+            tied = _rank_colors(block, _keys(rng, len(block), c.n), bounds)
+            while len(tied):  # draw the rows tied at a class boundary again
+                redo = block[tied]
+                again = _rank_colors(redo, _keys(rng, len(tied), c.n), bounds)
+                block[tied] = redo
+                tied = tied[again]
+        return out
     colors = np.arange(1, c.s + 1, dtype=dtype)
     if c.n >= SHUFFLE_CELLS:
         big = c.classes.index(max(c.classes))
         rest = np.repeat(np.delete(colors, big), np.delete(c.classes, big))
-        out = np.full((trials, c.n), colors[big], dtype=dtype)
+        out[:] = colors[big]
         for row in out:
             row[rng.choice(c.n, len(rest), replace=False)] = rest
         return out
     base = np.repeat(colors, c.classes)
-    out = np.empty((trials, len(base)), dtype=dtype)
     # numpy swaps items of sizeof(npy_intp) bytes directly, any other size by a byte copy
-    buf = np.empty((min(trials, max(1, SHUFFLE_CELLS // len(base))), len(base)), dtype=np.intp)
+    buf = np.empty((min(trials, rows), c.n), dtype=np.intp)
     for lo in range(0, trials, len(buf)):
         block = buf[: trials - lo]
         block[:] = base
@@ -223,13 +297,16 @@ def sample_counts(g: Graph, c: Composition, trials: int, rng: np.random.Generato
     """Monochromatic edge count of g under each of `trials` uniform colorings.
 
     Equal to count_batch(g, sample_batch(c, trials, rng)), with the same
-    draws, but sampled and counted max(BLOCK_ROWS, SHUFFLE_CELLS // n)
-    rows at a time, and no block past MAX_SAMPLE_BYTES.  A trial count
-    refused by check_trials is refused before any draw.
+    draws, but sampled and counted BLOCK_ROWS rows at a time, rounded up
+    to whole sample_batch blocks of _block_rows(n) rows (so a redrawn row
+    takes its keys where one whole-matrix draw would), and no block past
+    MAX_SAMPLE_BYTES.  A trial count refused by check_trials is refused
+    before any draw.
     """
     check_trials(trials)
     row_bytes = c.n * np.dtype(_color_dtype(c)).itemsize
-    rows = max(1, min(max(BLOCK_ROWS, SHUFFLE_CELLS // c.n), MAX_SAMPLE_BYTES // row_bytes))
+    step = _block_rows(c.n)
+    rows = max(1, min(-(-BLOCK_ROWS // step) * step, MAX_SAMPLE_BYTES // row_bytes))
     out = np.empty(trials, dtype=np.int64)
     for lo in range(0, trials, rows):
         out[lo : lo + rows] = count_batch(g, sample_batch(c, min(rows, trials - lo), rng))

@@ -230,12 +230,13 @@ def test_criterion_09b_edge_count_variance_config():
 def test_criterion_10_reproducibility(tmp_path, capsys, monkeypatch):
     """Fixed-seed CLI runs are byte-identical across invocations and
     across worker thread counts (flag or environment)."""
-    # a narrow graph, one wide enough for rows placed by rng.choice, and
-    # one sampled and counted in three blocks of rows
+    # three classes take keys on a narrow graph, on one past SHUFFLE_CELLS
+    # and over three blocks of rows; four classes take the block shuffle
     for graph, classes, trials, seed in [
         ("cycle:12", "balanced:3", "2000", "11"),
         ("circulant:n=70000,d=2", "balanced:3", "20", "11"),
         ("star:4000", "3000,1000", "600", "3"),
+        ("cycle:12", "balanced:4", "2000", "11"),
     ]:
         sim = [
             "simulate", "--graph", graph, "--classes", classes,
@@ -246,19 +247,22 @@ def test_criterion_10_reproducibility(tmp_path, capsys, monkeypatch):
         assert cli_main(sim) == 0
         assert capsys.readouterr().out == first
 
-    base = [
-        "regime", "--family", "gnp:p=8/n", "--classes", "balanced:2",
-        "--grid", "40,60,80", "--trials", "40", "--seed", "9",
-    ]
-    t1 = tmp_path / "threads1.json"
-    t4 = tmp_path / "threads4.json"
-    tenv = tmp_path / "threads_env.json"
-    assert cli_main([*base, "--threads", "1", "--out", str(t1)]) == 0
-    assert cli_main([*base, "--threads", "4", "--out", str(t4)]) == 0
-    monkeypatch.setenv("COLORSTATS_THREADS", "3")
-    assert cli_main([*base, "--out", str(tenv)]) == 0
-    capsys.readouterr()
-    assert t1.read_bytes() == t4.read_bytes() == tenv.read_bytes()
+    # a random family, and a fixed one whose four classes take the block shuffle
+    for family, classes in [("gnp:p=8/n", "balanced:2"), ("cycle", "balanced:4")]:
+        base = [
+            "regime", "--family", family, "--classes", classes,
+            "--grid", "40,60,80", "--trials", "40", "--seed", "9",
+        ]
+        t1 = tmp_path / "threads1.json"
+        t4 = tmp_path / "threads4.json"
+        tenv = tmp_path / "threads_env.json"
+        assert cli_main([*base, "--threads", "1", "--out", str(t1)]) == 0
+        assert cli_main([*base, "--threads", "4", "--out", str(t4)]) == 0
+        monkeypatch.setenv("COLORSTATS_THREADS", "3")
+        assert cli_main([*base, "--out", str(tenv)]) == 0
+        monkeypatch.delenv("COLORSTATS_THREADS")
+        capsys.readouterr()
+        assert t1.read_bytes() == t4.read_bytes() == tenv.read_bytes()
 
     rd = [
         "rdcheck", "--model", "config:law=1:1/2,3:1/2", "--grid", "100,200",

@@ -107,10 +107,63 @@ def reference_wide_sample_batch(c: Composition, trials: int, rng: np.random.Gene
     return mat
 
 
+def reference_key_sample_batch(
+    c: Composition, trials: int, rng: np.random.Generator, bits: int = 32
+) -> np.ndarray:
+    """sample_batch for at most three classes: for each block of
+    SHUFFLE_CELLS // n rows, n keys per row from the generator's raw 64-bit
+    words, two 32-bit keys each, of which the low `bits` are kept; each row
+    colored by the stable rank of its keys; then the rows whose keys are
+    equal on both sides of a class boundary drawn again together, in row
+    order, until none is."""
+    n = c.n
+    word = np.repeat(np.arange(1, c.s + 1, dtype=np.int8), c.classes)
+    bounds = np.cumsum(c.classes)[:-1]
+
+    def draw(rows: int) -> np.ndarray:
+        raw = rng.bit_generator.random_raw(-(-rows * n // 2)).view(np.uint32)[: rows * n]
+        return (raw & (2**bits - 1)).reshape(rows, n)
+
+    def color(keys: np.ndarray) -> tuple[np.ndarray, bool]:
+        order = np.argsort(keys, kind="stable")
+        row = np.empty(n, dtype=np.int8)
+        row[order] = word
+        ranked = keys[order]
+        return row, bool((ranked[bounds - 1] == ranked[bounds]).any())
+
+    mat = np.empty((trials, n), dtype=np.int8)
+    step = max(1, coloring.SHUFFLE_CELLS // n)
+    for lo in range(0, trials, step):
+        tied = list(range(lo, min(lo + step, trials)))
+        while tied:
+            again = []
+            for r, keys in zip(tied, draw(len(tied))):
+                mat[r], tie = color(keys)
+                if tie:
+                    again.append(r)
+            tied = again
+    return mat
+
+
+@pytest.fixture
+def low_bit_keys(monkeypatch):
+    """Keep only the low `bits` of every sample_batch key, so rows tie at
+    class boundaries and are drawn again."""
+    full = coloring._keys
+
+    def patch(bits: int) -> None:
+        def keys(rng, rows, n):
+            return full(rng, rows, n) & (2**bits - 1)
+
+        monkeypatch.setattr(coloring, "_keys", keys)
+
+    return patch
+
+
 # (composition, trials): short last blocks, rows past SHUFFLE_CELLS, a
 # single row, each result dtype, and (last two) wide rows whose largest
 # class is not the first, placed by numpy's tail shuffle and by Floyd's
-# algorithm
+# algorithm; at most three classes take the key path, more the shuffles
 BATCH_SHAPES = [
     (Composition.balanced(100, 3), 1000),
     (Composition.balanced(40, 3), 3),
@@ -124,10 +177,10 @@ BATCH_SHAPES = [
 ]
 
 
-# (composition, graph, trials): narrow rows over blocks of BLOCK_ROWS rows,
-# wide rows (n >= SHUFFLE_CELLS) over two blocks with 3 classes, narrow rows
-# in blocks of SHUFFLE_CELLS // n rows, trials below one block, and exactly
-# two blocks
+# (composition, graph, trials): narrow rows over blocks of BLOCK_ROWS rows
+# rounded up to two key blocks (436 rows), wide rows (n >= SHUFFLE_CELLS)
+# over two blocks with 3 classes, narrow rows in blocks of SHUFFLE_CELLS // n
+# rows, trials below one block, and exactly two blocks
 COUNT_SHAPES = [
     (Composition((200, 100)), complete(300), 1000),
     (Composition((60_000, 3_000, 3_000)), cycle(66_000), 300),
@@ -191,13 +244,42 @@ class TestSampling:
 
     @pytest.mark.parametrize("c, trials", BATCH_SHAPES)
     def test_batch_matches_reference(self, c, trials):
-        # narrow rows: the permuted matrix; rows past the cut: one placement per row
-        reference = reference_wide_sample_batch if c.n >= coloring.SHUFFLE_CELLS else reference_sample_batch
+        # at most three classes: keys; more: the permuted matrix, or one
+        # placement per row past the cut
+        if c.s <= 3:
+            reference = reference_key_sample_batch
+        elif c.n >= coloring.SHUFFLE_CELLS:
+            reference = reference_wide_sample_batch
+        else:
+            reference = reference_sample_batch
         rng, ref_rng = stream(8), stream(8)
         got, want = sample_batch(c, trials, rng), reference(c, trials, ref_rng)
         assert got.dtype == want.dtype and got.flags.c_contiguous
         assert np.array_equal(got, want)
         assert rng.random() == ref_rng.random()  # the same draws were consumed
+
+    # redraws in most rows (2 bits), in a few rows of each block (16 bits)
+    @pytest.mark.parametrize("c, trials, bits", [
+        (Composition((3, 2)), 300, 2),
+        (Composition((2, 1, 3)), 300, 2),
+        (Composition((100, 60, 40)), 700, 16),
+        (Composition((400, 230)), 200, 16),
+    ])
+    def test_tied_rows_match_reference(self, low_bit_keys, c, trials, bits):
+        low_bit_keys(bits)
+        rng, ref_rng = stream(13), stream(13)
+        got = sample_batch(c, trials, rng)
+        assert np.array_equal(got, reference_key_sample_batch(c, trials, ref_rng, bits))
+        assert rng.random() == ref_rng.random()  # the same draws were consumed
+
+    def test_tied_rows_keep_the_class_sizes(self, low_bit_keys):
+        # 2-bit keys tie at a boundary in most rows; a kept tie breaks the sizes
+        low_bit_keys(2)
+        for parts in [(1, 1), (3, 2), (2, 5), (1, 1, 1), (2, 1, 3), (3, 3, 3), (1, 4, 2)]:
+            c = Composition(parts)
+            mat = sample_batch(c, 500, stream(14, len(parts)))
+            for color, ci in enumerate(parts, start=1):
+                assert ((mat == color).sum(axis=1) == ci).all(), (parts, color)
 
     @pytest.mark.parametrize("c, trials", [BATCH_SHAPES[0], BATCH_SHAPES[2]])
     def test_batch_memory_is_the_result_and_one_buffer(self, c, trials):
@@ -237,6 +319,16 @@ class TestSampling:
         assert np.array_equal(got, count_batch(g, sample_batch(c, trials, ref_rng)))
         assert rng.random() == ref_rng.random()  # the same draws were consumed
 
+    def test_counts_match_the_whole_matrix_with_redraws(self, low_bit_keys):
+        # n = 630: keys come in blocks of 104 rows, and 256-row count blocks
+        # would put a redrawn row's keys elsewhere in the stream
+        low_bit_keys(16)
+        g, c = cycle(630), Composition((400, 230))
+        rng, ref_rng = stream(15), stream(15)
+        got = sample_counts(g, c, 600, rng)
+        assert np.array_equal(got, count_batch(g, sample_batch(c, 600, ref_rng)))
+        assert rng.random() == ref_rng.random()
+
     def test_counts_memory_is_one_block(self):
         # the whole (20000, 4000) int8 matrix would take 80 MB
         g, c = star(4000), Composition((3000, 1000))
@@ -250,18 +342,25 @@ class TestSampling:
 
     def test_uniform_over_all_colorings(self, monkeypatch):
         """Chi-square goodness of fit at the 1e-3 level, every composition
-        of every n <= 6: 1e5 samples each through the block shuffle, then
-        8e3 each with SHUFFLE_CELLS at 1, so every row is placed by
+        of every n <= 6: 1e5 samples each through the key path (s <= 3) or
+        the block shuffle, then 8e3 each with SHUFFLE_CELLS at 1, so every
+        row takes its own keys or, with four or more classes, is placed by
         rng.choice."""
         for cut, trials in [(coloring.SHUFFLE_CELLS, 100_000), (1, 8_000)]:
             monkeypatch.setattr(coloring, "SHUFFLE_CELLS", cut)
             self._check_uniform(trials)
 
+    def test_uniform_with_tied_rows(self, low_bit_keys):
+        """The same fit for every 2- and 3-class composition of n <= 6 with
+        2-bit keys, where most rows tie at a boundary and are drawn again."""
+        low_bit_keys(2)
+        self._check_uniform(20_000, most_classes=3)
+
     @staticmethod
-    def _check_uniform(trials: int) -> None:
+    def _check_uniform(trials: int, most_classes: int = 6) -> None:
         cell = 0
         for n in range(2, 7):
-            for s in range(2, n + 1):
+            for s in range(2, min(n, most_classes) + 1):
                 for parts in compositions_of(n, s):
                     c = Composition(parts)
                     word = []
