@@ -139,10 +139,10 @@ def _cmd_rdcheck(args) -> int:
     # exact and cheap, so a model it refuses ends the run before any output
     check = randgraph.assumption_star_check(template, grid) if args.star_check else None
     payload: dict = {"model": args.model, "grid": list(grid)}
-    for mode in modes:
-        result = randgraph.ratio_over_grid(
-            template, grid, mode=mode, trials=args.trials, seed=args.seed
-        )
+    # every mode runs before the first line is printed, so a refused one leaves no partial output
+    results = [(mode, randgraph.ratio_over_grid(template, grid, mode=mode, trials=args.trials, seed=args.seed))
+               for mode in modes]
+    for mode, result in results:
         points = [record_json(pt) for pt in result.points]
         payload[mode] = {"points": points, "verdict": result.verdict}
         label = "closed" if mode == "closed_form" else "mc"

@@ -32,13 +32,14 @@ uniformly random ordered sample of k distinct positions, drawn in about k
 steps by a partial shuffle (Durstenfeld 1964) instead of n.  A batch of
 more than MAX_SAMPLE_BYTES bytes is refused before anything is allocated.
 
-The Monte Carlo harnesses read only the monochromatic edge count of each
-coloring, so sample_counts draws and counts a block of rows at a time
-instead of building the whole matrix.  Keys are drawn in blocks of
-SHUFFLE_CELLS // n rows and a tied row is drawn again at the end of its key
-block, so sample_counts takes a whole number of key blocks at a time; the
-shuffle paths draw row by row.  Then the counts equal those of one
-whole-matrix draw; memory is one block, not the trial count.
+The Monte Carlo harnesses read only the law of the monochromatic edge
+count, so sample_counts draws and counts a block of rows at a time into one
+value -> trials law.  Keys are drawn in blocks of SHUFFLE_CELLS // n rows
+and a tied row is drawn again at the end of its key block, so sample_counts
+takes whole key blocks; the shuffle paths draw row by row.  Then the law is
+that of one whole-matrix draw, and memory is one block plus the law's
+support, whatever the trial count.  A run past MAX_WORK_CELLS is refused
+before any draw.
 count_batch compares a block's edges in chunks of BATCH_CELLS = 2^18
 (edge, row) cells: the two gathered int8 operands and the boolean result,
 3 x 256 KiB, stay in a 2 MiB per-core L2 cache.  Each chunk's matches are
@@ -68,6 +69,10 @@ BATCH_CELLS = 1 << 18
 # bytes (trials x n x itemsize) of the largest coloring matrix sample_batch builds
 MAX_SAMPLE_BYTES = 1 << 30
 
+# (vertex + edge, trial) cells of the largest run check_work allows: about 85
+# minutes at the rate of a measured 2e10-cell run (93 s)
+MAX_WORK_CELLS = 1 << 40
+
 # cells (rows x n) of one sample_batch block: the 32-bit keys (256 KiB) of at
 # most three classes, or the np.intp buffer shuffled for more; rows of at
 # least this many vertices in four or more classes are placed by rng.choice
@@ -76,11 +81,6 @@ SHUFFLE_CELLS = 1 << 16
 # least rows per sample_counts block: count_batch gathers one row per edge
 # endpoint, and on blocks of fewer rows those gathers dominate
 BLOCK_ROWS = 256
-
-# bytes per trial kept for every trial: the int64 counts or run_comparison's
-# float64 copy of them, plus one temporary (the float64 copy being made, or
-# numpy's deviations inside var); the fourth powers are taken in place
-TRIAL_BYTES = 16
 
 
 @dataclass(frozen=True)
@@ -161,13 +161,11 @@ def _color_dtype(c: Composition) -> type:
     return np.int8 if c.s <= 127 else np.int16 if c.s <= 32767 else np.int32
 
 
-def check_trials(trials: int) -> None:
-    """Refuse a trial count whose per-trial vectors pass MAX_SAMPLE_BYTES."""
-    if trials * TRIAL_BYTES > MAX_SAMPLE_BYTES:
-        raise ValueError(
-            f"{trials} trials need {trials * TRIAL_BYTES} bytes of per-trial "
-            f"results, past the {MAX_SAMPLE_BYTES}-byte limit"
-        )
+def check_work(trials: int, size: int) -> None:
+    """Refuse `trials` draws on a graph of `size` vertices + edges past MAX_WORK_CELLS."""
+    if trials * size > MAX_WORK_CELLS:
+        raise ValueError(f"{trials} trials x {size} vertices and edges are {trials * size} "
+                         f"cells of work, past the {MAX_WORK_CELLS}-cell limit")
 
 
 def _block_rows(n: int) -> int:
@@ -293,24 +291,25 @@ def count_batch(g: Graph, colors: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_counts(g: Graph, c: Composition, trials: int, rng: np.random.Generator) -> np.ndarray:
-    """Monochromatic edge count of g under each of `trials` uniform colorings.
-
-    Equal to count_batch(g, sample_batch(c, trials, rng)), with the same
-    draws, but sampled and counted BLOCK_ROWS rows at a time, rounded up
-    to whole sample_batch blocks of _block_rows(n) rows (so a redrawn row
-    takes its keys where one whole-matrix draw would), and no block past
-    MAX_SAMPLE_BYTES.  A trial count refused by check_trials is refused
-    before any draw.
+def sample_counts(g: Graph, c: Composition, trials: int, rng: np.random.Generator) -> Counter:
+    """Law (value -> trials) of g's monochromatic edge count over `trials`
+    uniform colorings: that of count_batch(g, sample_batch(c, trials, rng)),
+    with the same draws, but sampled and counted BLOCK_ROWS rows at a time,
+    rounded up to whole sample_batch blocks of _block_rows(n) rows (so a
+    redrawn row takes its keys where one whole-matrix draw would), no block
+    past MAX_SAMPLE_BYTES, each block folded in by np.unique, and a run past
+    check_work refused before any draw.
     """
-    check_trials(trials)
+    check_work(trials, g.n + g.m)
     row_bytes = c.n * np.dtype(_color_dtype(c)).itemsize
     step = _block_rows(c.n)
     rows = max(1, min(-(-BLOCK_ROWS // step) * step, MAX_SAMPLE_BYTES // row_bytes))
-    out = np.empty(trials, dtype=np.int64)
+    law = Counter()
     for lo in range(0, trials, rows):
-        out[lo : lo + rows] = count_batch(g, sample_batch(c, min(rows, trials - lo), rng))
-    return out
+        counts = count_batch(g, sample_batch(c, min(rows, trials - lo), rng))
+        values, freq = np.unique(counts, return_counts=True)
+        law.update(dict(zip(values.tolist(), freq.tolist())))
+    return law
 
 
 def imbalance(c: Composition) -> Fraction:

@@ -17,18 +17,18 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
-import numpy as np
-
-from .coloring import Composition, check_trials, count_batch, sample, sample_counts
+from .coloring import Composition, count_batch, sample, sample_counts
 from .graph import Graph, graph_template, parse_number, write_text
 from .moments import full_report, pz_lower_bound, record_json, records_csv
-from .randgraph import MODEL_KEYS, ModelSpec, check_grid, generate, parse_model_template, trend
+from .randgraph import MODEL_KEYS, ModelSpec, check_draws, check_grid, generate, parse_model_template, trend
 from .seeds import stream
+from .symfun import power_sums
 
 # Regime thresholds: the floors of randgraph.trend for zeta^2 and for the
 # imbalance.  Both are finite-grid proxies for asymptotic statements; the
@@ -100,25 +100,28 @@ class RegimeRow:
     predicted_regime: str
 
 
-def _empirical_fixed(g: Graph, c: Composition, trials: int, rng) -> tuple[float, float]:
-    ms = sample_counts(g, c, trials, rng)
-    return float(ms.mean()), float(ms.var(ddof=1))
+def sampled_moments(law: Mapping[int, int]) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact mean, unbiased variance and fourth central moment sum cnt (x -
+    s1/t)^4 / t of a law of t >= 2 trials (value x -> cnt), from its power sums."""
+    t, s1, s2, s3, s4 = power_sums(law.keys(), law.values(), 4)
+    m4 = t**3 * s4 - 4 * t * t * s1 * s3 + 6 * t * s1 * s1 * s2 - 3 * s1**4
+    return Fraction(s1, t), Fraction(t * s2 - s1 * s1, t * (t - 1)), Fraction(m4, t**4)
 
 
-def _empirical_random(
-    model: ModelSpec, c: Composition, trials: int, seed: int, n: int
-) -> tuple[float, float]:
-    ms = np.empty(trials)
+def _empirical_random(model: ModelSpec, c: Composition, trials: int, seed: int, n: int) -> Counter:
+    """Law of M over `trials` fresh graphs, one coloring each; refused first by check_draws."""
+    check_draws(model, trials)
+    law = Counter()
     for t in range(trials):
         rng = stream(seed, n, 2, t)
         g = generate(model, rng)
-        ms[t] = count_batch(g, sample(c, rng)[None, :])[0]
-    return float(ms.mean()), float(ms.var(ddof=1))
+        law[int(count_batch(g, sample(c, rng)[None, :])[0])] += 1
+    return law
 
 
 def _regime_point(family: FamilySpec, at: Callable, rule: Callable, n: int, trials: int, seed: int):
-    """Exact report and empirical moments at n; `at` and `rule` are the
-    family's graph or model template and its coloring rule."""
+    """Exact report and empirical mean and variance at n; `at` and `rule`
+    are the family's graph or model template and its coloring rule."""
     c = rule(n)
     if family.is_random:
         # exact columns come from one representative draw; the empirical
@@ -130,19 +133,15 @@ def _regime_point(family: FamilySpec, at: Callable, rule: Callable, n: int, tria
                 break
         else:
             raise ValueError(f"model {family.graph!r} at n={n} keeps coming up edgeless")
-        report = full_report(g, c)
-        emp = (
-            _empirical_random(model, c, trials, seed, n) if trials > 0 else (None, None)
-        )
     else:
         g = at(n)
-        report = full_report(g, c)
-        emp = (
-            _empirical_fixed(g, c, trials, stream(seed, n, 1))
-            if trials > 0
-            else (None, None)
-        )
-    return report, emp
+    report = full_report(g, c)
+    if trials == 0:
+        return report, (None, None)
+    law = (_empirical_random(model, c, trials, seed, n) if family.is_random
+           else sample_counts(g, c, trials, stream(seed, n, 1)))
+    mean, var, _ = sampled_moments(law)
+    return report, (float(mean), float(var))
 
 
 def run_regime(
@@ -161,7 +160,6 @@ def run_regime(
     """
     if trials != 0 and trials < 2:
         raise ValueError(f"trials must be 0 (exact only) or at least 2, got {trials}")
-    check_trials(trials)
     grid = family.grid
     at = (parse_model_template if family.is_random else graph_template)(family.graph)
     rule = parse_coloring_rule(family.coloring)
@@ -184,23 +182,21 @@ def run_regime(
         regime = "anti_concentration"
     else:
         regime = "inconclusive"
-    rows = []
-    for n, (rep, (emp_mean, emp_var)) in zip(grid, results):
-        rows.append(
-            RegimeRow(
-                n=n,
-                zeta_sq=rep.zeta_sq,
-                rho=rep.rho,
-                imbalance_sq=rep.imbalance_sq,
-                normalized_var=rep.normalized_var,
-                rho_zeta_product=rep.rho * rep.zeta_sq,
-                pz_bound=pz_lower_bound(PZ_THETA, rep.var_common, rep.m),
-                empirical_mean=emp_mean,
-                empirical_var=emp_var,
-                predicted_regime=regime,
-            )
+    return [
+        RegimeRow(
+            n=n,
+            zeta_sq=rep.zeta_sq,
+            rho=rep.rho,
+            imbalance_sq=rep.imbalance_sq,
+            normalized_var=rep.normalized_var,
+            rho_zeta_product=rep.rho * rep.zeta_sq,
+            pz_bound=pz_lower_bound(PZ_THETA, rep.var_common, rep.m),
+            empirical_mean=emp_mean,
+            empirical_var=emp_var,
+            predicted_regime=regime,
         )
-    return rows
+        for n, (rep, (emp_mean, emp_var)) in zip(grid, results)
+    ]
 
 
 @dataclass(frozen=True)
@@ -231,39 +227,27 @@ def run_comparison(
 ) -> ComparisonRecord:
     """Sample `trials` colorings of g and compare M's moments to the formulas.
 
-    The colorings are drawn and counted by coloring.sample_counts, one
-    block of rows at a time, so memory holds one block and at most
-    TRIAL_BYTES per trial, never the (trials, n) matrix: the counts are
-    centered and raised to the fourth power in place.  A trial count whose
-    per-trial vectors pass MAX_SAMPLE_BYTES is refused before any draw."""
+    coloring.sample_counts draws and counts them a block of rows at a time
+    into M's sampled law, never a (trials, n) matrix or a per-trial vector;
+    sampled_moments reads the mean, the unbiased variance and the fourth
+    central moment from it exactly, each rounded to float once."""
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     report = full_report(g, c)
-    ms = sample_counts(g, c, trials, stream(seed)).astype(np.float64)
-    emp_mean = float(ms.mean())
-    emp_var = float(ms.var(ddof=1))
+    emp_mean, emp_var, m4 = map(float, sampled_moments(sample_counts(g, c, trials, stream(seed))))
     se_mean = math.sqrt(emp_var / trials)
-    ms -= emp_mean
-    m4 = float(np.power(ms, 4, out=ms).mean())
     var_of_var = (m4 - (trials - 3) / (trials - 1) * emp_var**2) / trials
     se_var = math.sqrt(max(var_of_var, 0.0))
-    exact_mean = report.mean_M
-    exact_var = report.var_common
-    if se_mean == 0.0:
-        mean_ok = emp_mean == float(exact_mean)
-    else:
-        mean_ok = abs(emp_mean - float(exact_mean)) <= SE_BAND * se_mean
-    if se_var == 0.0:
-        var_ok = emp_var == float(exact_var)
-    else:
-        var_ok = abs(emp_var - float(exact_var)) <= SE_BAND * se_var
+    # a zero standard error asks for exact agreement
+    mean_ok = abs(emp_mean - float(report.mean_M)) <= SE_BAND * se_mean
+    var_ok = abs(emp_var - float(report.var_common)) <= SE_BAND * se_var
     return ComparisonRecord(
         n=g.n,
         m=g.m,
         classes=c.classes,
         trials=trials,
-        exact_mean=exact_mean,
-        exact_var=exact_var,
+        exact_mean=report.mean_M,
+        exact_var=report.var_common,
         empirical_mean=emp_mean,
         empirical_var=emp_var,
         se_mean=se_mean,

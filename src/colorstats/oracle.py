@@ -41,6 +41,7 @@ from .coloring import (
 from .graph import Graph, GraphStats, complete, cycle, path, star, stats, threshold_graph
 from .randgraph import Gnp, generate
 from .seeds import stream
+from .symfun import power_sums
 
 DEFAULT_BUDGET = 10_000_000
 CORPUS_SEED = 20291  # master seed of the corpus's Bernoulli graphs
@@ -173,16 +174,15 @@ def exact_moments(dist: ExactDistribution, m: int) -> OracleMoments:
     """Means and variances of each per-color count M_i and of M = sum M_i;
     m is the edge count, needed to place L = m - M.
 
-    Each column x (one M_i, then M) has integer power sums
-    s1 = sum(cnt * x) and s2 = sum(cnt * x^2) over the support, so its
-    mean s1 / total and variance (total * s2 - s1^2) / total^2 are one
-    Fraction each.
+    Each column x (one M_i, then M) has integer power sums s_j = sum(cnt *
+    x^j) over the support (symfun.power_sums, which the Monte Carlo moments
+    read too), so its mean s1 / s0 and variance (s0 * s2 - s1^2) / s0^2 are
+    one Fraction each.
     """
-    total, counts = dist.total, dist.support.values()
+    counts = dist.support.values()
     mean, var = [], []
     for col in [*zip(*dist.support), tuple(map(sum, dist.support))]:
-        weighted = [x * cnt for x, cnt in zip(col, counts)]
-        s1, s2 = sum(weighted), sum(w * x for w, x in zip(weighted, col))
+        total, s1, s2 = power_sums(col, counts, 2)
         mean.append(Fraction(s1, total))
         var.append(Fraction(total * s2 - s1 * s1, total * total))
     return OracleMoments(

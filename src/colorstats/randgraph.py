@@ -25,6 +25,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
+from .coloring import check_work
 from .graph import Graph, parse_int, parse_number, spec_template
 from .seeds import stream
 
@@ -350,6 +351,13 @@ def ratio_closed_form(spec: ModelSpec) -> RatioCriterion:
     return RatioCriterion(n=spec.n, ratio=None if den == 0 else sigma2 / den)
 
 
+def check_draws(spec: ModelSpec, trials: int) -> None:
+    """coloring.check_work on `trials` graphs of the model at n + ceil(E[m]) cells each.  A weight
+    model's exact E[m] takes O(distinct weights^2), so it reads the bound min(sum(w), n (n - 1)) / 2."""
+    mean = min(sum(spec.weights), spec.n * (spec.n - 1)) / 2 if isinstance(spec, ChungLu) else edge_moments(spec)[0]
+    check_work(trials, spec.n + math.ceil(mean))
+
+
 def _sample_stats(spec: ModelSpec, trials: int, seed: int, key: tuple[int, ...]):
     """Per-trial (sigma2, m) pairs; config uses pre-erasure values and also
     returns the post-erasure pairs for reporting."""
@@ -462,17 +470,18 @@ def ratio_over_grid(
     trials: int = 200,
     seed: int = 0,
 ) -> GridResult:
-    """Evaluate the ratio criterion on each n and classify the trend."""
+    """Evaluate the ratio criterion on each n and classify the trend; Monte
+    Carlo mode first refuses, by check_draws, a point with too many cells."""
     if mode not in ("closed_form", "monte_carlo"):
         raise ValueError(f"mode must be closed_form or monte_carlo, got {mode!r}")
     check_grid(ns)
-    points = []
-    for i, n in enumerate(ns):
-        spec = template(int(n))
-        if mode == "closed_form":
-            points.append(ratio_closed_form(spec))
-        else:
-            points.append(ratio_monte_carlo(spec, trials, seed, key=(i,)))
+    specs = [template(int(n)) for n in ns]
+    if mode == "closed_form":
+        points = [ratio_closed_form(spec) for spec in specs]
+    else:
+        for spec in specs:
+            check_draws(spec, trials)
+        points = [ratio_monte_carlo(spec, trials, seed, key=(i,)) for i, spec in enumerate(specs)]
     _, label = trend(ns, [p.ratio for p in points], RATIO_FLOOR)
     verdict = {"vanishing": "concentrates", "flat": "anti_concentrates"}.get(label, "inconclusive")
     return GridResult(tuple(points), verdict)

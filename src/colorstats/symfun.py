@@ -2,14 +2,14 @@
 
 Everything here is plain Python integer arithmetic, so results are exact for
 arbitrarily large inputs.  Falling factorials build the block probabilities
-behind the closed-form moments; elementary symmetric polynomials and power
-sums give the tests independent closed forms.
+behind the closed-form moments; power sums of a (value, count) law give every
+moment of M, and elementary symmetric polynomials the tests' closed forms.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 
 def falling_factorial(a: int, b: int) -> int:
@@ -47,6 +47,14 @@ def power_sum(values: Sequence[int], k: int) -> int:
     """Sum of k-th powers; len(values) when k == 0."""
     if k < 0:
         raise ValueError(f"power_sum requires k >= 0, got k={k}")
-    if k == 0:
-        return len(values)
-    return sum(x**k for x in values)
+    return power_sums(values, [1] * len(values), k)[k]
+
+
+def power_sums(values: Iterable[int], counts: Iterable[int], k: int) -> list[int]:
+    """[s_0, ..., s_k] of a law of the values x with counts cnt: s_j = sum cnt * x^j."""
+    terms, values = list(counts), list(values)
+    sums = [sum(terms)]
+    for _ in range(k):
+        terms = [t * x for t, x in zip(terms, values)]
+        sums.append(sum(terms))
+    return sums

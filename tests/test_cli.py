@@ -72,12 +72,23 @@ def test_import_adds_only_pinned_modules():
 
 
 def test_benchmark_graph_count_pin(monkeypatch, tmp_path, capsys):
-    # the benchmark's graphs_per_s divides this fixed count by the wall time;
-    # a change that draws more or fewer graphs must fail here
+    # the benchmark's graphs_per_s and colorings_per_s divide these fixed
+    # counts by the wall time; a change that draws more or fewer graphs or
+    # colorings, or moves colorings between the two samplers, must fail here
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     workloads = importlib.import_module("workloads")
-    drawn = []
+    drawn, colorings = [], []
     generate, config_sample = randgraph.generate, randgraph.config_sample
+    sample_batch, sample = coloring.sample_batch, experiments.sample
+
+    def counted_sample_batch(c, trials, rng):
+        out = sample_batch(c, trials, rng)
+        colorings.append(len(out))
+        return out
+
+    def counted_sample(c, rng):
+        colorings.append(1)
+        return sample(c, rng)
 
     def counted_generate(spec, rng):
         if not isinstance(spec, randgraph.ConfigModel):  # its config_sample call counts
@@ -91,10 +102,14 @@ def test_benchmark_graph_count_pin(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(randgraph, "generate", counted_generate)
     monkeypatch.setattr(experiments, "generate", counted_generate)
     monkeypatch.setattr(randgraph, "config_sample", counted_config_sample)
+    monkeypatch.setattr(coloring, "sample_batch", counted_sample_batch)
+    monkeypatch.setattr(experiments, "sample", counted_sample)
     for command in workloads.commands("many_small", 1, str(tmp_path), {}):
         assert main(list(command.argv)) == 0, command.label
     capsys.readouterr()
     assert len(drawn) == workloads.logical_work("many_small")[1] == 1204
+    # the sampled rows plus the random regime's single draws (perfbench/check.py's identity)
+    assert sum(colorings) == workloads.logical_work("many_small")[0] == 124_400
 
 
 class TestMoments:
@@ -342,6 +357,42 @@ class TestBadInput:
         assert code == 2 and "at least 2" in err
         assert out == ""
 
+    @pytest.mark.parametrize("mode", ["mc", "both"])
+    def test_rdcheck_trials_past_work_limit_exits_2(self, capsys, tmp_path, mode):
+        # E[m] = 45/2 edges, so 10^14 trials are 10^14 x (10 + 23) cells
+        target = tmp_path / "out.json"
+        t0 = time.perf_counter()
+        code, out, err = run(
+            capsys, "rdcheck", "--model", "gnp:n=10,p=1/2", "--mode", mode,
+            "--trials", "100000000000000", "--out", str(target),
+        )
+        assert time.perf_counter() - t0 < 1
+        assert code == 2 and out == "" and not target.exists()
+        assert err == (
+            "error: 100000000000000 trials x 33 vertices and edges are "
+            "3300000000000000 cells of work, past the 1099511627776-cell limit\n"
+        )
+
+    @pytest.mark.parametrize("command", ["rdcheck", "regime"])
+    def test_weight_model_work_limit_is_prompt(self, capsys, tmp_path, command):
+        # 3000 distinct weights: the exact E[m] takes minutes, so the limit
+        # reads its bound min(sum(w), n (n - 1)) / 2 = 4501500 / 2 edges
+        weights = tmp_path / "w.txt"
+        weights.write_text(" ".join(str(w) for w in range(1, 3001)))
+        argv = {
+            "rdcheck": ["rdcheck", "--model", f"cl:w={weights}", "--mode", "mc"],
+            "regime": ["regime", "--family", f"cl:w={weights}", "--classes", "balanced:2",
+                       "--grid", "3000", "--out", str(tmp_path / "rows.json")],
+        }[command]
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--trials", "10000000")
+        assert time.perf_counter() - t0 < 5
+        assert code == 2 and out == ""
+        assert err == (
+            "error: 10000000 trials x 2253750 vertices and edges are "
+            "22537500000000 cells of work, past the 1099511627776-cell limit\n"
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -452,7 +503,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("command", ["simulate", "regime"])
     def test_trials_past_byte_limit_exits_2(self, capsys, tmp_path, command):
-        # 10^14 trials of 16 bytes each, refused before any coloring is drawn
+        # 10^14 trials of cycle:1000 (2000 vertices and edges) or star:40
+        # (79), refused by the work limit before any coloring is drawn
         argv = {
             "simulate": ["simulate", "--graph", "cycle:1000", "--classes", "balanced:2"],
             "regime": ["regime", "--family", "star", "--classes", "3/4,1/4",
@@ -462,9 +514,10 @@ class TestSimulate:
         code, out, err = run(capsys, *argv, "--trials", "100000000000000", "--seed", "1")
         assert time.perf_counter() - t0 < 1
         assert code == 2 and out == ""
+        size = {"simulate": 2000, "regime": 79}[command]
         assert err == (
-            "error: 100000000000000 trials need 1600000000000000 bytes of "
-            "per-trial results, past the 1073741824-byte limit\n"
+            f"error: 100000000000000 trials x {size} vertices and edges are "
+            f"{10**14 * size} cells of work, past the 1099511627776-cell limit\n"
         )
 
     def test_deterministic_output(self, capsys):

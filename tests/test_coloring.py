@@ -4,6 +4,7 @@ import itertools
 import math
 import time
 import tracemalloc
+from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +25,7 @@ from colorstats.coloring import (
     sample_batch,
     sample_counts,
 )
+from colorstats.experiments import sampled_moments
 from colorstats.graph import Graph, complete, cycle, path, star
 from colorstats.oracle import arrangements, compositions_of, total_colorings
 from colorstats.seeds import stream
@@ -315,9 +317,19 @@ class TestSampling:
     def test_counts_match_the_whole_matrix(self, c, g, trials):
         rng, ref_rng = stream(9), stream(9)
         got = sample_counts(g, c, trials, rng)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, count_batch(g, sample_batch(c, trials, ref_rng)))
+        assert got == Counter(count_batch(g, sample_batch(c, trials, ref_rng)).tolist())
         assert rng.random() == ref_rng.random()  # the same draws were consumed
+
+    @pytest.mark.parametrize("c, g, trials", COUNT_SHAPES)
+    def test_sampled_moments_are_exact(self, c, g, trials):
+        # the law's power sums give the moments of the whole count vector
+        ms = count_batch(g, sample_batch(c, trials, stream(9)))
+        mean, var, m4 = sampled_moments(sample_counts(g, c, trials, stream(9)))
+        want = Fraction(sum(ms.tolist()), trials)
+        assert mean == want
+        assert var == sum((x - want) ** 2 for x in ms.tolist()) / (trials - 1)
+        assert m4 == sum((x - want) ** 4 for x in ms.tolist()) / trials
+        assert float(mean) == np.mean(ms)  # bit for bit: integer sums below 2^53 are exact
 
     def test_counts_match_the_whole_matrix_with_redraws(self, low_bit_keys):
         # n = 630: keys come in blocks of 104 rows, and 256-row count blocks
@@ -326,7 +338,7 @@ class TestSampling:
         g, c = cycle(630), Composition((400, 230))
         rng, ref_rng = stream(15), stream(15)
         got = sample_counts(g, c, 600, rng)
-        assert np.array_equal(got, count_batch(g, sample_batch(c, 600, ref_rng)))
+        assert got == Counter(count_batch(g, sample_batch(c, 600, ref_rng)).tolist())
         assert rng.random() == ref_rng.random()
 
     def test_counts_memory_is_one_block(self):
