@@ -73,6 +73,11 @@ MAX_SAMPLE_BYTES = 1 << 30
 # minutes at the rate of a measured 2e10-cell run (93 s)
 MAX_WORK_CELLS = 1 << 40
 
+# cells that randgraph.check_draws adds to each fresh random graph's vertices
+# and edges: the draw's fixed Python cost (45-106 us on the small models) at
+# the 4.65 ns a cell of that run
+GRAPH_CELLS = 1 << 14
+
 # cells (rows x n) of one sample_batch block: the 32-bit keys (256 KiB) of at
 # most three classes, or the np.intp buffer shuffled for more; rows of at
 # least this many vertices in four or more classes are placed by rng.choice
@@ -162,9 +167,10 @@ def _color_dtype(c: Composition) -> type:
 
 
 def check_work(trials: int, size: int) -> None:
-    """Refuse `trials` draws on a graph of `size` vertices + edges past MAX_WORK_CELLS."""
+    """Refuse `trials` draws of `size` cells each past MAX_WORK_CELLS: a graph's
+    vertices + edges, plus GRAPH_CELLS when each trial draws a fresh graph."""
     if trials * size > MAX_WORK_CELLS:
-        raise ValueError(f"{trials} trials x {size} vertices and edges are {trials * size} "
+        raise ValueError(f"{trials} trials x {size} cells are {trials * size} "
                          f"cells of work, past the {MAX_WORK_CELLS}-cell limit")
 
 

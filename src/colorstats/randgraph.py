@@ -8,8 +8,9 @@ four models (Bernoulli pairs, erased configuration, torus geometric,
 weight-product), edge_moments, the one exact law of E[m], Var(m) and
 E[sigma2] per model that both the closed-form ratio and the star check
 Var(m) / E[m]^2 read (neither draws a graph), Monte Carlo estimates with
-standard errors (the only part that reads a trial count and a seed), and
-trend, the one rule that turns a series over an n-grid into a verdict.
+standard errors from exact integer sums of each trial's (sigma2, m) (the
+only part that reads a trial count and a seed), and trend, the one rule
+that turns a series over an n-grid into a verdict.
 
 Closed forms are computed with exact rationals whenever the model
 parameters are rational; float parameters flow through as floats.
@@ -25,7 +26,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .coloring import check_work
+from .coloring import GRAPH_CELLS, check_work
 from .graph import Graph, parse_int, parse_number, spec_template
 from .seeds import stream
 
@@ -308,12 +309,15 @@ def edge_moments(spec: ModelSpec) -> tuple:
 
     gnp, cl and starlike have independent edges, and geo has pairwise
     independent ones with probability pi r^2 while r <= 1/2, so it is gnp.
-    Grouping the k_b vertices of each weight b (one group for gnp), a vertex
-    of weight a has degree mean d_a = sum_b (k_b - [a = b]) p(a, b) and
-    variance v_a = sum_b (k_b - [a = b]) p(a, b) (1 - p(a, b)); then
-    E[m] = sum_a k_a d_a / 2, Var(m) = sum_a k_a v_a / 2 and
-    E[sigma2] = sum_a k_a (v_a + d_a^2).  For config, m is half the stub
-    total before the parity stub and before erasure.
+    With d_a and v_a the degree mean and variance of each of the k_a
+    vertices of weight a: E[m] = sum_a k_a d_a / 2, Var(m) = sum_a k_a v_a / 2
+    and E[sigma2] = sum_a k_a (v_a + d_a^2).  For cl, with T = sum(w), B1 and
+    B2 sum k_b b and k_b b^2 over the partners b with a b < T, each heavier
+    partner is an edge, and p_aa = min(1, a^2 / T) removes the self-pair:
+    d_a = (a/T) B1 + (heavier partners) - p_aa, v_a = (a/T) B1 - (a/T)^2 B2 -
+    p_aa (1 - p_aa).  Those partners only grow as a falls, so one sweep over
+    the g sorted distinct weights takes O(g log g).  For config, m is half
+    the stub total before the parity stub and before erasure.
     """
     n = spec.n
     if isinstance(spec, ConfigModel):
@@ -322,24 +326,25 @@ def edge_moments(spec: ModelSpec) -> tuple:
     if isinstance(spec, GeometricTorus):
         return edge_moments(Gnp(n, math.pi * spec.r**2))
     if isinstance(spec, Gnp):
-        groups, pair = {0: n}, lambda a, b: spec.p
-    elif isinstance(spec, ChungLu):
-        groups = {Fraction(w): k for w, k in Counter(spec.weights).items()}
-        total = sum(w * k for w, k in groups.items())
-        pair = lambda a, b: min(1, a * b / total)
-    else:
+        # an int or Fraction p gives exact Fractions, a float p floats
+        p, k = spec.p if isinstance(spec.p, float) else Fraction(spec.p), n - 1
+        d, v = k * p, k * p * (1 - p)
+        return n * k * p / 2, n * k * p * (1 - p) / 2, n * (v + d * d)
+    if not isinstance(spec, ChungLu):
         raise TypeError(f"unknown model spec {spec!r}")
-    # Fraction(0) keeps int sums exact and turns into a float on a float p;
-    # the pair sums (k_a k) p are the float product gnp's n (n - 1) p needs
+    groups = sorted(Counter(Fraction(w) for w in spec.weights).items())
+    total = sum(w * k for w, k in groups)
     twice_mean = twice_var = sigma2 = Fraction(0)
-    for a, k_a in groups.items():
-        d = v = Fraction(0)
-        for b, k_b in groups.items():
-            p, k = pair(a, b), k_b - (a == b)
-            d += k * p
-            v += k * p * (1 - p)
-            twice_mean += k_a * k * p
-            twice_var += k_a * k * p * (1 - p)
+    j = light = b1 = b2 = 0  # groups[:j] are the partners b with a b < total
+    for a, k_a in reversed(groups):
+        while j < len(groups) and a * groups[j][0] < total:
+            b, k_b = groups[j]
+            light, b1, b2, j = light + k_b, b1 + k_b * b, b2 + k_b * b * b, j + 1
+        x, p = a / total, min(1, a * a / total)
+        d = x * b1 + (n - light) - p
+        v = x * b1 - x * x * b2 - p * (1 - p)
+        twice_mean += k_a * d
+        twice_var += k_a * v
         sigma2 += k_a * (v + d * d)
     return twice_mean / 2, twice_var / 2, sigma2
 
@@ -352,30 +357,9 @@ def ratio_closed_form(spec: ModelSpec) -> RatioCriterion:
 
 
 def check_draws(spec: ModelSpec, trials: int) -> None:
-    """coloring.check_work on `trials` graphs of the model at n + ceil(E[m]) cells each.  A weight
-    model's exact E[m] takes O(distinct weights^2), so it reads the bound min(sum(w), n (n - 1)) / 2."""
-    mean = min(sum(spec.weights), spec.n * (spec.n - 1)) / 2 if isinstance(spec, ChungLu) else edge_moments(spec)[0]
-    check_work(trials, spec.n + math.ceil(mean))
-
-
-def _sample_stats(spec: ModelSpec, trials: int, seed: int, key: tuple[int, ...]):
-    """Per-trial (sigma2, m) pairs; config uses pre-erasure values and also
-    returns the post-erasure pairs for reporting."""
-    sig = np.empty(trials)
-    ms = np.empty(trials)
-    post = np.empty((trials, 2)) if isinstance(spec, ConfigModel) else None
-    for t in range(trials):
-        rng = stream(seed, *key, t)
-        if isinstance(spec, ConfigModel):
-            samp = config_sample(spec, rng)
-            sig[t] = samp.pre_sigma2
-            ms[t] = samp.pre_m
-            post[t] = ((samp.graph.degrees**2).sum(), samp.graph.m)
-        else:
-            g = generate(spec, rng)
-            sig[t] = (g.degrees**2).sum()
-            ms[t] = g.m
-    return sig, ms, post
+    """coloring.check_work on `trials` fresh graphs of the model, each
+    counted at n + ceil(E[m]) cells plus GRAPH_CELLS for its draw."""
+    check_work(trials, spec.n + math.ceil(edge_moments(spec)[0]) + GRAPH_CELLS)
 
 
 def ratio_monte_carlo(
@@ -388,33 +372,38 @@ def ratio_monte_carlo(
     the streams of different grid points sharing one master seed.  For the
     erased configuration model the headline numbers use pre-erasure degrees
     (the quantities the closed form refers to); the post-erasure ratio is
-    reported alongside.
+    reported alongside.  Each trial's integer (sigma2, m) goes into running
+    integer sums, so memory does not grow with `trials`.  The delta-method
+    variance of X / Y^2 is the unbiased sample variance, over `trials`, of
+    a sigma2 + b m (a = 1 / Y^2, b = -2 X / Y^3 at the sample means X, Y):
+    an exact Fraction, >= 0, rounded once by math.sqrt.
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials for a standard error, got {trials}")
-    sig, ms, post = _sample_stats(spec, trials, seed, key)
-    mean_sig = float(sig.mean())
-    mean_m = float(ms.mean())
-    if mean_m == 0.0:
+    # sums of sigma2, m, sigma2^2, m^2 and sigma2 m, then config's post-erasure sigma2 and m
+    s_sig = s_m = s_ss = s_mm = s_sm = post_sig = post_m = 0
+    for t in range(trials):
+        rng = stream(seed, *key, t)
+        if isinstance(spec, ConfigModel):
+            samp = config_sample(spec, rng)
+            sig, m = samp.pre_sigma2, samp.pre_m
+            post_sig += int((samp.graph.degrees**2).sum())
+            post_m += samp.graph.m
+        else:
+            g = generate(spec, rng)
+            sig, m = int((g.degrees**2).sum()), g.m
+        s_sig, s_m, s_ss, s_mm, s_sm = s_sig + sig, s_m + m, s_ss + sig * sig, s_mm + m * m, s_sm + sig * m
+    if s_m == 0:
         return RatioCriterion(n=spec.n, ratio=None)
-    ratio = mean_sig / mean_m**2
-    var_sig = float(sig.var(ddof=1)) / trials
-    var_m = float(ms.var(ddof=1)) / trials
-    cov = float(np.cov(sig, ms, ddof=1)[0, 1]) / trials
-    # delta method for X / Y^2 at (mean_sig, mean_m)
-    var_ratio = (
-        var_sig / mean_m**4
-        + 4.0 * mean_sig**2 * var_m / mean_m**6
-        - 4.0 * mean_sig * cov / mean_m**5
-    )
-    post_ratio = None
-    if post is not None and post[:, 1].mean() > 0:
-        post_ratio = float(post[:, 0].mean() / post[:, 1].mean() ** 2)
+    y = Fraction(s_m, trials)
+    a, b = 1 / (y * y), -2 * Fraction(s_sig, trials) / (y * y * y)
+    lin, lin2 = a * s_sig + b * s_m, a * a * s_ss + 2 * a * b * s_sm + b * b * s_mm
+    # int / int is correctly rounded: the float mean of the per-trial values
     return RatioCriterion(
         n=spec.n,
-        ratio=ratio,
-        ratio_se=math.sqrt(max(var_ratio, 0.0)),
-        post_erasure_ratio=post_ratio,
+        ratio=(s_sig / trials) / (s_m / trials) ** 2,
+        ratio_se=math.sqrt((lin2 - lin * lin / trials) / (trials - 1) / trials),
+        post_erasure_ratio=(post_sig / trials) / (post_m / trials) ** 2 if post_m else None,
     )
 
 

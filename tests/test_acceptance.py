@@ -264,11 +264,14 @@ def test_criterion_10_reproducibility(tmp_path, capsys, monkeypatch):
         capsys.readouterr()
         assert t1.read_bytes() == t4.read_bytes() == tenv.read_bytes()
 
-    rd = [
-        "rdcheck", "--model", "config:law=1:1/2,3:1/2", "--grid", "100,200",
-        "--mode", "mc", "--trials", "50", "--seed", "4",
-    ]
-    assert cli_main(rd) == 0
-    out_a = capsys.readouterr().out
-    assert cli_main(rd) == 0
-    assert capsys.readouterr().out == out_a
+    for mode in ("mc", "both"):
+        rd = [
+            "rdcheck", "--model", "config:law=1:1/2,3:1/2", "--grid", "100,200",
+            "--mode", mode, "--trials", "50", "--seed", "4",
+        ]
+        outs = [tmp_path / f"rd_{mode}_{i}.json" for i in range(2)]
+        assert cli_main([*rd, "--out", str(outs[0])]) == 0
+        out_a = capsys.readouterr().out
+        assert cli_main([*rd, "--out", str(outs[1])]) == 0
+        assert capsys.readouterr().out == out_a
+        assert outs[0].read_bytes() == outs[1].read_bytes()

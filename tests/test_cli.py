@@ -359,7 +359,7 @@ class TestBadInput:
 
     @pytest.mark.parametrize("mode", ["mc", "both"])
     def test_rdcheck_trials_past_work_limit_exits_2(self, capsys, tmp_path, mode):
-        # E[m] = 45/2 edges, so 10^14 trials are 10^14 x (10 + 23) cells
+        # E[m] = 45/2 edges, so 10^14 trials are 10^14 x (10 + 23 + 2^14) cells
         target = tmp_path / "out.json"
         t0 = time.perf_counter()
         code, out, err = run(
@@ -369,14 +369,14 @@ class TestBadInput:
         assert time.perf_counter() - t0 < 1
         assert code == 2 and out == "" and not target.exists()
         assert err == (
-            "error: 100000000000000 trials x 33 vertices and edges are "
-            "3300000000000000 cells of work, past the 1099511627776-cell limit\n"
+            "error: 100000000000000 trials x 16417 cells are "
+            "1641700000000000000 cells of work, past the 1099511627776-cell limit\n"
         )
 
     @pytest.mark.parametrize("command", ["rdcheck", "regime"])
     def test_weight_model_work_limit_is_prompt(self, capsys, tmp_path, command):
-        # 3000 distinct weights: the exact E[m] takes minutes, so the limit
-        # reads its bound min(sum(w), n (n - 1)) / 2 = 4501500 / 2 edges
+        # 3000 distinct weights, exact E[m] = 365988869539/180060 edges, so
+        # 3000 + 2032594 + 2^14 cells a trial
         weights = tmp_path / "w.txt"
         weights.write_text(" ".join(str(w) for w in range(1, 3001)))
         argv = {
@@ -389,8 +389,27 @@ class TestBadInput:
         assert time.perf_counter() - t0 < 5
         assert code == 2 and out == ""
         assert err == (
-            "error: 10000000 trials x 2253750 vertices and edges are "
-            "22537500000000 cells of work, past the 1099511627776-cell limit\n"
+            "error: 10000000 trials x 2051978 cells are "
+            "20519780000000 cells of work, past the 1099511627776-cell limit\n"
+        )
+
+    @pytest.mark.parametrize("command", ["regime", "rdcheck"])
+    def test_fresh_graph_cost_counts_in_work_limit(self, capsys, tmp_path, command):
+        # tiny graphs: 2^14 cells a draw refuse what vertices and edges alone allow
+        target = tmp_path / "out.json"
+        argv, size, trials = {
+            "regime": (["regime", "--family", "gnp:p=1/2", "--classes", "balanced:2",
+                        "--grid", "4,5"], 4 + 3 + 2**14, 10**10),
+            "rdcheck": (["rdcheck", "--model", "gnp:n=10,p=1/2", "--mode", "mc"],
+                        10 + 23 + 2**14, 3 * 10**10),
+        }[command]
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--trials", str(trials), "--out", str(target))
+        assert time.perf_counter() - t0 < 1
+        assert code == 2 and out == "" and not target.exists()
+        assert err == (
+            f"error: {trials} trials x {size} cells are {trials * size} "
+            "cells of work, past the 1099511627776-cell limit\n"
         )
 
     @pytest.mark.parametrize(
@@ -516,7 +535,7 @@ class TestSimulate:
         assert code == 2 and out == ""
         size = {"simulate": 2000, "regime": 79}[command]
         assert err == (
-            f"error: 100000000000000 trials x {size} vertices and edges are "
+            f"error: 100000000000000 trials x {size} cells are "
             f"{10**14 * size} cells of work, past the 1099511627776-cell limit\n"
         )
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -260,8 +261,10 @@ class TestEdgeMoments:
             Gnp(5, Fraction(2, 7)),
             ChungLu(5, (4, 3, 1, 1, 1)),  # 4 * 3 > 10: that pair is capped at 1
             ChungLu(4, (Fraction(5, 2), 3, 3, Fraction(1, 2))),  # 3 * 3 = 9 = sum(w)
+            ChungLu(5, (6, 6, 1, 1, 1)),  # tied heavy weights: their pair and self-pair capped
+            ChungLu(5, (0.5, 3.0, 3, 1.25, 2)),  # float weights, 3.0 and 3 tied
         ],
-        ids=["gnp4", "gnp5", "cl5_capped", "cl4_at_cap"],
+        ids=["gnp4", "gnp5", "cl5_capped", "cl4_at_cap", "cl5_tied_cap", "cl5_float"],
     )
     def test_independent_edges_match_every_weighted_graph(self, spec):
         if isinstance(spec, Gnp):
@@ -339,6 +342,54 @@ class TestMonteCarlo:
         closed = float(ratio_closed_form(spec).ratio)
         mc = ratio_monte_carlo(spec, trials=300, seed=55)
         assert abs(mc.ratio - closed) / closed < 0.05
+
+    @pytest.mark.parametrize(
+        "spec",
+        [Gnp(30, Fraction(1, 5)), ConfigModel(40, MIXED_LAW), GeometricTorus(40, 0.2)],
+        ids=["gnp", "config", "geo"],
+    )
+    def test_sums_are_exact(self, spec):
+        # the same per-trial draws, then the delta-method variance of X / Y^2
+        # from centred Fraction sums, and the float means of the sample vectors
+        trials, seed, key = 60, 3, (2,)
+        pre, post = [], []
+        for t in range(trials):
+            rng = stream(seed, *key, t)
+            if isinstance(spec, ConfigModel):
+                samp = config_sample(spec, rng)
+                pre.append((samp.pre_sigma2, samp.pre_m))
+                post.append((int((samp.graph.degrees**2).sum()), samp.graph.m))
+            else:
+                g = generate(spec, rng)
+                pre.append((int((g.degrees**2).sum()), g.m))
+        mu = [Fraction(sum(col), trials) for col in zip(*pre)]
+
+        def cov(i, j):
+            return sum((r[i] - mu[i]) * (r[j] - mu[j]) for r in pre) / (trials - 1) / trials
+
+        x, y = mu
+        var = cov(0, 0) / y**4 + 4 * x * x * cov(1, 1) / y**6 - 4 * x * cov(0, 1) / y**5
+        mc = ratio_monte_carlo(spec, trials, seed, key)
+        assert mc.ratio_se == math.sqrt(var) and mc.ratio_se > 0
+        sig, ms = np.array(pre, dtype=float).T
+        assert mc.ratio == float(sig.mean()) / float(ms.mean()) ** 2
+        if post:
+            arr = np.array(post, dtype=float)
+            assert mc.post_erasure_ratio == float(arr[:, 0].mean() / arr[:, 1].mean() ** 2)
+        else:
+            assert mc.post_erasure_ratio is None
+
+    def test_memory_does_not_grow_with_trials(self):
+        # running integer sums, no per-trial vector
+        peaks = []
+        for trials in (500, 2000):
+            tracemalloc.start()
+            try:
+                ratio_monte_carlo(ConfigModel(10, MIXED_LAW), trials, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 16 << 10, peaks
 
 
 class TestTrendClassifier:
